@@ -12,6 +12,12 @@ Usage:
         --baseline bench_results --current build/bench_results \
         [--threshold 0.30]
 
+List-valued metrics (a sweep, e.g. one value per worker count) are gated
+point by point, and every point is printed: a regression at any single
+sweep point fails even when another point improved, and a list whose length
+differs from the baseline's is a failure (the sweep changed shape, so the
+points no longer line up).
+
 A missing baseline file, missing current result, or missing tracked metric
 is a hard failure, not a skip: every tracked bench has a checked-in
 baseline, so an absence means the smoke silently stopped emitting (or the
@@ -26,7 +32,7 @@ import pathlib
 import sys
 
 # Tracked higher-is-better metrics per bench. List-valued metrics (e.g. a
-# per-worker-count sweep) are compared on their maximum.
+# per-worker-count sweep) are compared point by point.
 TRACKED = {
     "engine_throughput": ["pairs_per_sec", "scaling_efficiency"],
     "fleet_scatter": ["router_qps"],
@@ -72,14 +78,14 @@ def load(path: pathlib.Path):
         return None
 
 
-def metric_value(doc, key):
+def metric_values(doc, key):
+    """The metric as a list of floats (a scalar is a one-point list), or
+    None when it is absent or any point is non-numeric."""
     value = doc.get(key)
-    if isinstance(value, list):
-        numeric = [v for v in value if isinstance(v, (int, float))]
-        return max(numeric) if numeric else None
-    if isinstance(value, (int, float)):
-        return float(value)
-    return None
+    points = value if isinstance(value, list) else [value]
+    if not points or not all(isinstance(v, (int, float)) for v in points):
+        return None
+    return [float(v) for v in points]
 
 
 def main() -> int:
@@ -108,28 +114,40 @@ def main() -> int:
         tracked = [(k, False) for k in TRACKED.get(bench, [])] + \
                   [(k, True) for k in TRACKED_LOWER.get(bench, [])]
         for key, lower_is_better in tracked:
-            base = metric_value(base_doc, key)
-            cur = metric_value(cur_doc, key)
-            if base is None or cur is None or base <= 0:
+            base = metric_values(base_doc, key)
+            cur = metric_values(cur_doc, key)
+            if base is None or cur is None:
                 failures.append((bench, key,
-                                 f"missing or non-positive value "
-                                 f"(baseline={base}, current={cur})"))
+                                 f"missing or non-numeric value "
+                                 f"(baseline={base_doc.get(key)}, "
+                                 f"current={cur_doc.get(key)})"))
                 continue
-            checked += 1
-            ratio = cur / base
-            regressed = (ratio > 1.0 + args.threshold if lower_is_better
-                         else ratio < 1.0 - args.threshold)
-            status = "REGRESSION" if regressed else "OK"
+            if len(base) != len(cur):
+                failures.append((bench, key,
+                                 f"{len(base)} baseline point(s) vs "
+                                 f"{len(cur)} current"))
+                continue
             arrow = "v" if lower_is_better else "^"
             unit = UNITS.get(key, "")
             unit_sfx = f" {unit}" if unit else ""
-            if regressed:
-                failures.append((bench, key,
-                                 f"baseline {base:.3f} -> current "
-                                 f"{cur:.3f}{unit_sfx} ({ratio:.2%})"))
-            print(f"{status:>10}  [{arrow}] {bench}.{key}: "
-                  f"baseline {base:.3f} -> current {cur:.3f}{unit_sfx}  "
-                  f"({ratio:.2%})")
+            for i, (b, c) in enumerate(zip(base, cur)):
+                label = f"{key}[{i}]" if len(base) > 1 else key
+                if b <= 0:
+                    failures.append((bench, label,
+                                     f"non-positive baseline {b}"))
+                    continue
+                checked += 1
+                ratio = c / b
+                regressed = (ratio > 1.0 + args.threshold if lower_is_better
+                             else ratio < 1.0 - args.threshold)
+                status = "REGRESSION" if regressed else "OK"
+                if regressed:
+                    failures.append((bench, label,
+                                     f"baseline {b:.3f} -> current "
+                                     f"{c:.3f}{unit_sfx} ({ratio:.2%})"))
+                print(f"{status:>10}  [{arrow}] {bench}.{label}: "
+                      f"baseline {b:.3f} -> current {c:.3f}{unit_sfx}  "
+                      f"({ratio:.2%})")
 
     if failures:
         print(f"\nFAIL: {len(failures)} gate violation(s) at threshold "
@@ -137,7 +155,7 @@ def main() -> int:
         for bench, key, detail in failures:
             print(f"  {bench}.{key}: {detail}")
         return 1
-    print(f"\nperf gate passed: {checked} metric(s) within "
+    print(f"\nperf gate passed: {checked} point(s) within "
           f"{args.threshold:.0%} of baseline")
     return 0
 

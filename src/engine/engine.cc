@@ -1,15 +1,8 @@
 #include "engine/engine.h"
 
-#include <atomic>
-#include <chrono>
-
-#include "engine/shard.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "telemetry/metric_model.h"
+#include "runtime/runtime.h"
 #include "util/check.h"
-#include "util/parallel.h"
-#include "util/rng.h"
 
 namespace nyqmon::eng {
 
@@ -25,178 +18,41 @@ double FleetRunResult::fleet_cost_savings() const {
 
 FleetMonitorEngine::FleetMonitorEngine(const tel::Fleet& fleet,
                                        EngineConfig config)
-    : fleet_(fleet),
-      config_(config),
-      store_(config.store, config.store_stripes) {
-  NYQMON_CHECK(config_.samples_per_window >= 2);
-  NYQMON_CHECK(config_.windows_per_pair >= 1);
-  NYQMON_CHECK(config_.max_speedup >= 1.0);
-  NYQMON_CHECK(config_.max_slowdown >= 1.0);
+    : runtime_(std::make_unique<rt::StreamingRuntime>(fleet, clock_, [&] {
+        rt::RuntimeConfig rc;
+        rc.engine = std::move(config);
+        return rc;
+      }())) {}
 
-  // Durable tier before any stream exists, so the creations below are
-  // WAL-logged too: each engine run is a fresh storage generation.
-  if (!config_.storage.dir.empty()) {
-    config_.storage.truncate_existing = true;
-    storage_ = std::make_unique<sto::StorageManager>(config_.storage);
-    // Geometry into the manifest before any ingest: a mid-run crash must
-    // recover with verified seal boundaries even though no flush ever ran.
-    storage_->record_geometry(config_.store);
-    store_.set_ingest_sink(storage_.get());
-  }
+FleetMonitorEngine::~FleetMonitorEngine() = default;
 
-  // Scheduling pass: derive every pair's collection plan and register its
-  // retention stream up front (sequential, so stream creation needs no
-  // coordination during the fan-out).
-  schedules_.reserve(fleet_.size());
-  for (const auto& pair : fleet_.pairs()) {
-    const tel::PairSchedule s = tel::schedule_pair(
-        pair, config_.samples_per_window, config_.windows_per_pair);
-    store_.create_stream(tel::stream_id(pair), s.production_rate_hz);
-    schedules_.push_back(s);
-  }
+const mon::StripedRetentionStore& FleetMonitorEngine::store() const {
+  return runtime_->store();
 }
 
-std::vector<std::uint64_t> fork_noise_seeds(std::uint64_t seed,
-                                            std::size_t n) {
-  // Sequential forking, so per-pair outcomes cannot depend on the order in
-  // which worker threads (or the streaming scheduler) pick pairs up.
-  Rng rng(seed);
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) seeds.push_back(rng.engine()());
-  return seeds;
+mon::StripedRetentionStore& FleetMonitorEngine::mutable_store() {
+  return runtime_->mutable_store();
 }
 
-mon::PipelineConfig pair_pipeline_config(const EngineConfig& config,
-                                         const tel::FleetPair& pair,
-                                         const tel::PairSchedule& sched) {
-  const auto& spec = tel::metric_spec(pair.metric.kind);
-  mon::PipelineConfig pc;
-  pc.sampler = config.sampler;
-  pc.sampler.initial_rate_hz = sched.production_rate_hz;
-  pc.sampler.min_rate_hz = sched.production_rate_hz / config.max_slowdown;
-  pc.sampler.max_rate_hz = sched.production_rate_hz * config.max_speedup;
-  pc.sampler.window_duration_s = sched.window_duration_s;
-  pc.cost = config.cost;
-  pc.noise_stddev = config.relative_noise * spec.fluctuation_rms;
-  pc.quantization_step = pair.metric.quantization_step;
-  return pc;
-}
-
-PairOutcome make_pair_outcome(std::size_t index, const tel::FleetPair& pair,
-                              const tel::PairSchedule& sched,
-                              const mon::PipelineResult& result) {
-  PairOutcome out;
-  out.pair_index = index;
-  out.stream_id = tel::stream_id(pair);
-  out.kind = pair.metric.kind;
-  out.production_rate_hz = sched.production_rate_hz;
-  out.cost_savings = result.cost_savings;
-  out.nrmse = result.nrmse;
-  out.max_abs_error = result.max_abs_error;
-  out.adaptive_samples = result.run.total_samples;
-  out.baseline_samples = result.run.baseline_samples(sched.production_rate_hz);
-  {
-    // Last of the four per-pair stage timings (sample and reconstruct in
-    // monitor/pipeline.cc, FFT in nyquist/estimator.cc). Shared with the
-    // streaming runtime, so both execution modes fill the same histograms.
-    NYQMON_OBS_TIMER("nyqmon_engine_stage_audit_ns");
-    out.audit = nyq::audit_run(result.run);
-  }
-  NYQMON_OBS_COUNT("nyqmon_engine_pairs_total", 1);
-  return out;
-}
-
-PairOutcome FleetMonitorEngine::drive_pair(std::size_t index,
-                                           std::uint64_t noise_seed) {
-  const tel::FleetPair& pair = fleet_.pairs()[index];
-  const tel::PairSchedule& sched = schedules_[index];
-
-  const mon::AdaptiveMonitoringPipeline pipeline(
-      pair_pipeline_config(config_, pair, sched));
-  const mon::PipelineResult result = pipeline.run(
-      *pair.metric.signal, 0.0, sched.duration_s, sched.production_rate_hz,
-      noise_seed);
-
-  PairOutcome out = make_pair_outcome(index, pair, sched, result);
-
-  // Fan-in: retain the reconstruction (on the production grid) under this
-  // pair's stream ID. One bulk append = one stripe-lock acquisition.
-  store_.append_series(out.stream_id, result.reconstruction.span());
-
-  // Byte bill after ingest: each stream has exactly one producer (this
-  // pair), so the stats are final for the run and worker-count invariant.
-  const mon::StreamStats retained = store_.stats(out.stream_id);
-  out.store_bytes_raw = retained.bytes_raw;
-  out.store_bytes_stored = retained.bytes_stored;
-  return out;
+const sto::StorageManager* FleetMonitorEngine::storage() const {
+  return runtime_->storage();
 }
 
 qry::QueryEngine FleetMonitorEngine::serve(qry::QueryEngineConfig config)
     const {
   NYQMON_CHECK_MSG(ran_, "serve() needs a completed run()");
-  return qry::QueryEngine(store_, config);
+  return qry::QueryEngine(runtime_->store(), config);
 }
 
 FleetRunResult FleetMonitorEngine::run() {
   NYQMON_CHECK_MSG(!ran_, "FleetMonitorEngine::run() is single-shot");
   ran_ = true;
-
-  const auto t_start = std::chrono::steady_clock::now();
-
-  // Fork every pair's noise seed sequentially so outcomes cannot depend on
-  // thread scheduling.
-  const std::vector<std::uint64_t> noise_seeds =
-      fork_noise_seeds(config_.seed, fleet_.size());
-
-  const std::size_t workers = resolve_workers(config_.workers, fleet_.size());
-  const std::size_t want_shards =
-      config_.shards == 0 ? 4 * workers : config_.shards;
-  const std::vector<Shard> shards =
-      partition_shards(fleet_.size(), want_shards);
-
-  FleetRunResult result;
-  result.pairs.resize(fleet_.size());
-  result.shards_used = shards.size();
-
-  // Round-robin shard queue: workers claim whole shards until none remain
-  // (one atomic claim per shard — the batched handoff), each worker owning
-  // a warm per-thread scratch arena for DSP plans and buffers.
   NYQMON_TRACE_SPAN("fleet_run", "engine");
-  ShardRunOptions run_options;
-  run_options.workers = workers;
-  run_options.pin_threads = config_.pin_workers;
-  run_options.arena.retain_across_pairs = config_.arena_retain;
-  const ShardRunStats shard_stats =
-      run_sharded(shards, run_options, [&](std::size_t i) {
-        result.pairs[i] = drive_pair(i, noise_seeds[i]);
-      });
-  result.workers_used = shard_stats.workers_used;
-  result.threads_pinned = shard_stats.threads_pinned;
-  result.arena = shard_stats.arena;
-
-  // Aggregate in pair order (order-stable regardless of worker count).
-  for (const auto& p : result.pairs) {
-    result.adaptive_cost +=
-        mon::cost_of_samples(p.adaptive_samples, config_.cost);
-    result.baseline_cost +=
-        mon::cost_of_samples(p.baseline_samples, config_.cost);
-  }
-  result.store = store_.rollup();
-
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t_start)
-          .count();
-
-  // End-of-run checkpoint: seal the WAL-protected run into compressed
-  // segments (kept out of wall_seconds — compute vs durability split).
-  if (storage_ != nullptr) {
-    storage_->sync();
-    result.flush = storage_->flush(store_);
-    result.storage = storage_->stats();
-    result.persisted = true;
-  }
-  return result;
+  // Batch = one beat: with the clock at the fleet's last window end every
+  // pair is due in the runtime's first poll, which drives it through its
+  // whole timeline and ingests its reconstruction in one append.
+  clock_.advance_to(runtime_->end_s());
+  return runtime_->run_to_completion();
 }
 
 }  // namespace nyqmon::eng

@@ -2,9 +2,12 @@
 //
 // The paper's evaluation is fleet-wide — 1613 metric-device pairs, 14
 // metrics — but the adaptive pipeline (monitor/pipeline.h) drives one signal
-// at a time. FleetMonitorEngine scales it out: a fleet's pairs are dealt
-// into shards (engine/shard.h), a fixed pool of worker threads claims shards
-// from a shared queue, and every pair is driven through adaptive sampling,
+// at a time. FleetMonitorEngine runs the whole fleet offline: it is the
+// batch face of the one fleet driver, rt::StreamingRuntime
+// (runtime/runtime.h). run() jumps a private VirtualClock to the end of the
+// fleet's timeline, so every pair is due in a single scheduler beat; that
+// beat deals the pairs into shards (engine/shard.h) claimed by a fixed pool
+// of worker threads, and every pair is driven through adaptive sampling,
 // reconstruction and an aliasing audit concurrently. Reconstructions flow
 // into a shared mutex-striped RetentionStore keyed by "device/metric"
 // stream IDs, so retained data can be queried after the run; per-pair
@@ -17,8 +20,8 @@
 // than the fixed-rate baseline — the report splits both populations out.
 //
 // Ownership: the engine borrows the fleet (which must outlive it) and owns
-// its store, schedules and optional durable tier; serve() returns a
-// QueryEngine that borrows the engine.
+// its clock and runtime, and through the runtime the store and optional
+// durable tier; serve() returns a QueryEngine that borrows the engine.
 //
 // Threading: construction and run() belong to one caller thread; run()
 // itself fans out over an internal worker pool and joins it before
@@ -26,12 +29,12 @@
 // (mutable_store() hands out the striped store's own thread-safe ingest
 // surface for post-run writers).
 //
-// Determinism: results are bit-identical for any worker/shard count. Every
-// pair's noise seed is forked from the engine seed sequentially before the
-// fan-out, each pair's work is a pure function of (pair, seed, config),
-// outcome slots are pre-allocated per pair, and aggregation iterates in
-// pair order. eng::run_digest() (engine/report.h) is the compact test
-// hook for this contract.
+// Determinism: results are bit-identical for any worker count. Every
+// pair's noise seed is forked from the engine seed sequentially up front,
+// each pair's work is a pure function of (pair, seed, config) however the
+// scheduler batches its windows, outcome slots are pre-allocated per pair,
+// and aggregation iterates in pair order. eng::run_digest()
+// (engine/report.h) is the compact test hook for this contract.
 #pragma once
 
 #include <cstdint>
@@ -41,20 +44,23 @@
 
 #include "engine/arena.h"
 #include "monitor/cost_model.h"
-#include "monitor/pipeline.h"
 #include "monitor/striped_store.h"
 #include "nyquist/adaptive_sampler.h"
 #include "query/engine.h"
+#include "runtime/clock.h"
 #include "storage/manager.h"
 #include "telemetry/fleet.h"
+
+namespace nyqmon::rt {
+class StreamingRuntime;
+}
 
 namespace nyqmon::eng {
 
 struct EngineConfig {
-  /// Worker threads (0 = hardware concurrency).
+  /// Worker threads (0 = hardware concurrency). Each scheduler beat deals
+  /// its due pairs into 4 shards per worker, the usual steal granularity.
   std::size_t workers = 0;
-  /// Shard-queue entries (0 = 4 per worker, the usual steal granularity).
-  std::size_t shards = 0;
   /// Pin worker w to CPU w (best-effort; ignored where unsupported). The
   /// throughput bench turns this on so per-worker arenas stay cache-local.
   bool pin_workers = false;
@@ -119,12 +125,16 @@ struct FleetRunResult {
   mon::Cost adaptive_cost;
   mon::Cost baseline_cost;
   mon::StoreRollup store;
+  /// The fan-out that ran: the widest beat's worker and pinned-thread
+  /// counts, and shards claimed summed over every scheduler beat (a batch
+  /// run is one beat).
   std::size_t workers_used = 0;
   std::size_t shards_used = 0;
   std::size_t threads_pinned = 0;
-  /// Per-worker scratch-arena accounting summed over all workers (heap
-  /// allocations, plan builds, warm pairs that still allocated). Not part
-  /// of the deterministic aggregates.
+  /// Per-worker scratch-arena accounting summed over all workers and beats
+  /// (heap allocations, plan builds, warm pairs that still allocated;
+  /// pairs_processed counts pair advances). Not part of the deterministic
+  /// aggregates.
   WorkArenaStats arena;
   double wall_seconds = 0.0;  ///< not part of the deterministic aggregates
   /// Durable-tier outcome; meaningful only when `persisted` (storage.dir
@@ -137,43 +147,25 @@ struct FleetRunResult {
   double fleet_cost_savings() const;
 };
 
-/// Noise seeds forked sequentially from the engine seed, one per pair —
-/// shared by the batch engine and the streaming runtime (runtime/runtime.h)
-/// so both drive bit-identical pairs.
-std::vector<std::uint64_t> fork_noise_seeds(std::uint64_t seed, std::size_t n);
-
-/// The pipeline configuration one pair is driven with: the template sampler
-/// config specialized to the pair's production rate, rate bounds, window
-/// duration, noise scale and quantization step.
-mon::PipelineConfig pair_pipeline_config(const EngineConfig& config,
-                                         const tel::FleetPair& pair,
-                                         const tel::PairSchedule& sched);
-
-/// A PairOutcome from one pair's completed pipeline result, minus the
-/// store byte bill (the caller fills that after ingest).
-PairOutcome make_pair_outcome(std::size_t index, const tel::FleetPair& pair,
-                              const tel::PairSchedule& sched,
-                              const mon::PipelineResult& result);
-
 class FleetMonitorEngine {
  public:
   /// The fleet must outlive the engine.
   explicit FleetMonitorEngine(const tel::Fleet& fleet,
                               EngineConfig config = {});
+  ~FleetMonitorEngine();
 
-  const EngineConfig& config() const { return config_; }
-
-  /// Drive every pair in the fleet once. Callable once per engine (the
-  /// retention streams it creates are per-run).
+  /// Drive every pair in the fleet once, as a single scheduler beat.
+  /// Callable once per engine (the retention streams it creates are
+  /// per-run). A pair's error is rethrown here on the calling thread.
   FleetRunResult run();
 
   /// Retained data, queryable by tel::stream_id(pair) after run().
-  const mon::StripedRetentionStore& store() const { return store_; }
+  const mon::StripedRetentionStore& store() const;
 
   /// Mutable store access for a post-run serving session that keeps
   /// ingesting (e.g. a live writer feeding streams while clients query).
   /// Not for use during run() — the engine's own workers own the fan-in.
-  mon::StripedRetentionStore& mutable_store() { return store_; }
+  mon::StripedRetentionStore& mutable_store();
 
   /// A serving session over the retained data: a selector-based
   /// QueryEngine (see query/engine.h) bound to this engine's store.
@@ -182,16 +174,11 @@ class FleetMonitorEngine {
   qry::QueryEngine serve(qry::QueryEngineConfig config = {}) const;
 
   /// The durable tier, or nullptr when the engine runs in-memory only.
-  const sto::StorageManager* storage() const { return storage_.get(); }
+  const sto::StorageManager* storage() const;
 
  private:
-  PairOutcome drive_pair(std::size_t index, std::uint64_t noise_seed);
-
-  const tel::Fleet& fleet_;
-  EngineConfig config_;
-  mon::StripedRetentionStore store_;
-  std::unique_ptr<sto::StorageManager> storage_;
-  std::vector<tel::PairSchedule> schedules_;
+  rt::VirtualClock clock_;
+  std::unique_ptr<rt::StreamingRuntime> runtime_;
   bool ran_ = false;
 };
 

@@ -1,11 +1,11 @@
-// Shard partitioning and the worker execution model for the fleet engine.
+// Shard partitioning and the worker execution model for the fleet driver.
 //
-// The engine splits a fleet's metric-device pairs into shards — the unit of
-// work a worker thread claims. Pairs are dealt round-robin so every shard
-// mixes fast- and slow-polling metrics (fleet construction shuffles pairs,
-// so consecutive indices are already de-correlated); workers then pull whole
-// shards from a shared queue, which batches the handoff: one atomic claim
-// per shard, not per pair.
+// Every scheduler beat of rt::StreamingRuntime (runtime/runtime.h) — a
+// batch run's single beat or each of a live run's — splits its due pairs
+// into shards, the unit of work a worker thread claims. Pairs are dealt
+// round-robin so every shard mixes fast- and slow-polling metrics; workers
+// then pull whole shards from a shared queue, which batches the handoff:
+// one atomic claim per shard, not per pair.
 //
 // run_sharded() is the worker loop itself: each worker thread optionally
 // pins to a CPU, constructs a per-worker WorkArena (binding the thread's

@@ -7,10 +7,38 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "telemetry/metric_model.h"
 #include "util/check.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 
 namespace nyqmon::rt {
+
+namespace {
+
+/// Shards per worker in each beat's fan-out: the steal granularity.
+constexpr std::size_t kShardsPerWorker = 4;
+
+/// The pipeline configuration one pair is driven with: the template sampler
+/// config specialized to the pair's production rate, rate bounds, window
+/// duration, noise scale and quantization step.
+mon::PipelineConfig pair_pipeline_config(const eng::EngineConfig& config,
+                                         const tel::FleetPair& pair,
+                                         const tel::PairSchedule& sched) {
+  const auto& spec = tel::metric_spec(pair.metric.kind);
+  mon::PipelineConfig pc;
+  pc.sampler = config.sampler;
+  pc.sampler.initial_rate_hz = sched.production_rate_hz;
+  pc.sampler.min_rate_hz = sched.production_rate_hz / config.max_slowdown;
+  pc.sampler.max_rate_hz = sched.production_rate_hz * config.max_speedup;
+  pc.sampler.window_duration_s = sched.window_duration_s;
+  pc.cost = config.cost;
+  pc.noise_stddev = config.relative_noise * spec.fluctuation_rms;
+  pc.quantization_step = pair.metric.quantization_step;
+  return pc;
+}
+
+}  // namespace
 
 StreamingRuntime::StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
                                    RuntimeConfig config)
@@ -24,8 +52,10 @@ StreamingRuntime::StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
   NYQMON_CHECK(config_.engine.max_speedup >= 1.0);
   NYQMON_CHECK(config_.engine.max_slowdown >= 1.0);
 
-  // Durable tier before any stream exists (mirrors the batch engine): each
-  // run is a fresh storage generation and stream creations are WAL-logged.
+  // Durable tier before any stream exists, so stream creations are
+  // WAL-logged too: each run is a fresh storage generation. Geometry goes
+  // into the manifest before any ingest: a mid-run crash must recover with
+  // verified seal boundaries even though no flush ever ran.
   if (!config_.engine.storage.dir.empty()) {
     config_.engine.storage.truncate_existing = true;
     storage_ = std::make_unique<sto::StorageManager>(config_.engine.storage);
@@ -33,27 +63,27 @@ StreamingRuntime::StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
     store_.set_ingest_sink(storage_.get());
   }
 
-  // Scheduling pass, in fleet order (identical to the batch engine): every
-  // pair's plan, retention stream, noise seed and incremental pipeline.
-  const std::vector<std::uint64_t> noise_seeds =
-      eng::fork_noise_seeds(config_.engine.seed, fleet_.size());
+  // Scheduling pass, in fleet order: every pair's plan, retention stream,
+  // noise seed and first deadline (sequential, so stream creation needs no
+  // coordination during the fan-out, and outcomes cannot depend on the
+  // order in which workers pick pairs up). The first deadline is the
+  // stepper's first window end, min(window, duration) from t=0.
+  Rng seeds(config_.engine.seed);
   schedules_.reserve(fleet_.size());
   tasks_.resize(fleet_.size());
+  outcomes_.resize(fleet_.size());
   for (std::size_t i = 0; i < fleet_.size(); ++i) {
     const tel::FleetPair& pair = fleet_.pairs()[i];
     const tel::PairSchedule s = tel::schedule_pair(
         pair, config_.engine.samples_per_window, config_.engine.windows_per_pair);
-    store_.create_stream(tel::stream_id(pair), s.production_rate_hz);
-    schedules_.push_back(s);
-
     PairTask& task = tasks_[i];
     task.stream_id = tel::stream_id(pair);
-    task.pipeline = std::make_unique<mon::StreamingPairPipeline>(
-        eng::pair_pipeline_config(config_.engine, pair, s),
-        *pair.metric.signal, 0.0, s.duration_s, s.production_rate_hz,
-        noise_seeds[i]);
-    task.next_deadline_s = task.pipeline->next_deadline_s();
+    task.noise_seed = seeds.engine()();
+    task.next_deadline_s = std::min(s.window_duration_s, s.duration_s);
+    store_.create_stream(task.stream_id, s.production_rate_hz);
+    schedules_.push_back(s);
     deadlines_.emplace(task.next_deadline_s, i);
+    end_s_ = std::max(end_s_, s.duration_s);
   }
 }
 
@@ -63,8 +93,24 @@ double StreamingRuntime::next_deadline_s() const {
                             : deadlines_.top().first;
 }
 
+void StreamingRuntime::ingest_tail(PairTask& task,
+                                   std::span<const double> recon) {
+  // One append per pair per beat = one stripe lock + one WAL record.
+  if (recon.size() <= task.ingested) return;
+  store_.append_series(task.stream_id, recon.subspan(task.ingested));
+  values_ingested_ += recon.size() - task.ingested;
+  task.ingested = recon.size();
+}
+
 void StreamingRuntime::advance_pair(std::size_t index, double now_s) {
   PairTask& task = tasks_[index];
+  const tel::FleetPair& pair = fleet_.pairs()[index];
+  const tel::PairSchedule& sched = schedules_[index];
+  if (task.pipeline == nullptr) {
+    task.pipeline = std::make_unique<mon::StreamingPairPipeline>(
+        pair_pipeline_config(config_.engine, pair, sched), *pair.metric.signal,
+        0.0, sched.duration_s, sched.production_rate_hz, task.noise_seed);
+  }
   mon::StreamingPairPipeline& pipeline = *task.pipeline;
 
   while (!pipeline.done() && pipeline.next_deadline_s() <= now_s + 1e-9)
@@ -77,35 +123,39 @@ void StreamingRuntime::advance_pair(std::size_t index, double now_s) {
   task.windows_seen = so_far.steps.size();
   task.samples_seen = so_far.total_samples;
 
-  // Ingest the slice of reconstruction that became final this beat. One
-  // append per pair per beat = one stripe lock + one WAL record.
-  const auto ready = pipeline.reconstruction_so_far();
-  if (ready.size() > task.ingested) {
-    store_.append_series(task.stream_id, ready.subspan(task.ingested));
-    values_ingested_ += ready.size() - task.ingested;
-    task.ingested = ready.size();
-  }
-
   if (!pipeline.done()) {
+    // Ingest the slice of reconstruction that became final this beat.
+    ingest_tail(task, pipeline.reconstruction_so_far());
     task.next_deadline_s = pipeline.next_deadline_s();
     return;
   }
 
-  // Pair timeline complete: finalize the outcome. The degenerate fallback
-  // path can emit its reconstruction only inside finish(), so ingest any
-  // remainder after it.
+  // Pair timeline complete: finalize the outcome. finish() emits the last
+  // (or, on the degenerate fallback path, every) reconstruction value.
   const mon::PipelineResult result = pipeline.finish();
-  const auto full = result.reconstruction.span();
-  if (full.size() > task.ingested) {
-    store_.append_series(task.stream_id, full.subspan(task.ingested));
-    values_ingested_ += full.size() - task.ingested;
-    task.ingested = full.size();
+  ingest_tail(task, result.reconstruction.span());
+  eng::PairOutcome& out = outcomes_[index];
+  out.pair_index = index;
+  out.kind = pair.metric.kind;
+  out.production_rate_hz = sched.production_rate_hz;
+  out.cost_savings = result.cost_savings;
+  out.nrmse = result.nrmse;
+  out.max_abs_error = result.max_abs_error;
+  out.adaptive_samples = result.run.total_samples;
+  out.baseline_samples = result.run.baseline_samples(sched.production_rate_hz);
+  {
+    // Last of the four per-pair stage timings (sample and reconstruct in
+    // monitor/pipeline.cc, FFT in nyquist/estimator.cc).
+    NYQMON_OBS_TIMER("nyqmon_engine_stage_audit_ns");
+    out.audit = nyq::audit_run(result.run);
   }
-  task.outcome = eng::make_pair_outcome(index, fleet_.pairs()[index],
-                                        schedules_[index], result);
+  NYQMON_OBS_COUNT("nyqmon_engine_pairs_total", 1);
+  // Byte bill after ingest: each stream has exactly one producer (this
+  // pair), so the stats are final for the run and worker-count invariant.
   const mon::StreamStats retained = store_.stats(task.stream_id);
-  task.outcome.store_bytes_raw = retained.bytes_raw;
-  task.outcome.store_bytes_stored = retained.bytes_stored;
+  out.store_bytes_raw = retained.bytes_raw;
+  out.store_bytes_stored = retained.bytes_stored;
+  out.stream_id = std::move(task.stream_id);
   task.pipeline.reset();  // free sampler/dense state as pairs drain
   task.done = true;
   pairs_done_.fetch_add(1);
@@ -130,9 +180,22 @@ std::size_t StreamingRuntime::poll() {
   if (due.empty()) return 0;
   NYQMON_OBS_RECORD("nyqmon_runtime_poll_batch_depth", due.size());
 
+  // Fan-out: due pairs dealt round-robin into shards that a worker pool
+  // claims whole, each worker owning a warm WorkArena.
   const std::uint64_t windows_before = windows_processed_.load();
-  parallel_claim(due.size(), config_.engine.workers,
-                 [&](std::size_t k) { advance_pair(due[k], now); });
+  eng::ShardRunOptions options;
+  options.workers = resolve_workers(config_.engine.workers, due.size());
+  options.pin_threads = config_.engine.pin_workers;
+  options.arena.retain_across_pairs = config_.engine.arena_retain;
+  const std::vector<eng::Shard> shards =
+      eng::partition_shards(due.size(), kShardsPerWorker * options.workers);
+  const eng::ShardRunStats beat = eng::run_sharded(
+      shards, options, [&](std::size_t k) { advance_pair(due[k], now); });
+  fanout_.workers_used = std::max(fanout_.workers_used, beat.workers_used);
+  fanout_.threads_pinned =
+      std::max(fanout_.threads_pinned, beat.threads_pinned);
+  fanout_.arena += beat.arena;
+  shards_claimed_ += shards.size();
   for (const std::size_t i : due) {
     if (!tasks_[i].done) deadlines_.emplace(tasks_[i].next_deadline_s, i);
   }
@@ -184,22 +247,18 @@ sto::FlushStats StreamingRuntime::checkpoint_locked() {
 
 eng::FleetRunResult StreamingRuntime::run_to_completion() {
   const auto t_start = std::chrono::steady_clock::now();
-  while (!done()) {
-    const double deadline = next_deadline_s();
-    if (!std::isfinite(deadline)) break;
-    clock_.sleep_until_s(deadline);
-    poll();
-  }
+  while (!done() && std::isfinite(next_deadline_s())) step();
 
   std::lock_guard<std::mutex> lock(scheduler_mu_);
   NYQMON_CHECK_MSG(!finalized_, "run_to_completion() is single-shot");
   finalized_ = true;
 
   eng::FleetRunResult result;
-  result.pairs.reserve(tasks_.size());
-  for (const PairTask& task : tasks_) result.pairs.push_back(task.outcome);
-  result.workers_used = resolve_workers(config_.engine.workers, fleet_.size());
-  result.shards_used = 0;  // deadline-scheduled, not shard-partitioned
+  result.pairs = std::move(outcomes_);
+  result.workers_used = fanout_.workers_used;
+  result.shards_used = shards_claimed_;
+  result.threads_pinned = fanout_.threads_pinned;
+  result.arena = fanout_.arena;
   for (const auto& p : result.pairs) {
     result.adaptive_cost +=
         mon::cost_of_samples(p.adaptive_samples, config_.engine.cost);

@@ -1,24 +1,28 @@
-// StreamingRuntime — continuous a-posteriori monitoring (the live form of
-// paper Section 4).
+// StreamingRuntime — the fleet driver: continuous a-posteriori monitoring
+// (the live form of paper Section 4), and, run as a single beat, the batch
+// engine.
 //
-// FleetMonitorEngine::run() drives every pair to completion and only then
-// opens a query session; this runtime turns the same per-pair pipeline into
-// a long-lived service. Each pair's adaptive poller is driven one
-// adaptation window at a time by a deadline scheduler: a pair's deadline is
-// the moment its next window's data is complete on the signal timeline, and
-// it is re-planned every window as the dual-rate detector adjusts the
-// pair's operating rate. Finalized reconstruction slices flow into the
-// shared StripedRetentionStore immediately (chunks seal incrementally, the
+// Each pair's adaptive poller is driven one adaptation window at a time by
+// a deadline scheduler: a pair's deadline is the moment its next window's
+// data is complete on the signal timeline, and it is re-planned every
+// window as the dual-rate detector adjusts the pair's operating rate.
+// Finalized reconstruction slices flow into the shared
+// StripedRetentionStore immediately (chunks seal incrementally, the
 // StorageManager WAL records every batch), and a live QueryEngine serves
 // selector queries *during* ingest — per-stream write-generation counters
 // keep cached results correct as data keeps arriving.
 //
 // Time is pluggable (runtime/clock.h): under a VirtualClock the whole
-// timeline replays as fast as the hardware allows, and a completed
-// streaming run is bit-identical to the batch engine over the same fleet,
-// seed and config — same per-pair outcomes, same retained chunks, same
-// query results (write-generation counters differ: streaming ingests each
-// stream in many batches rather than one).
+// timeline replays as fast as the hardware allows. Batch is one beat:
+// FleetMonitorEngine (engine/engine.h) owns a runtime whose VirtualClock it
+// jumps to end_s(), so every pair is due in the first poll() and is driven
+// through its whole timeline there.
+//
+// Worker model: poll() deals its due pairs into shards claimed by a pool
+// of worker threads (eng::run_sharded, engine/shard.h), each worker owning
+// a WorkArena (engine/arena.h) and optionally pinned to a CPU. A pair's
+// incremental pipeline is built on the worker that first advances it, so
+// construction stays cheap and a pair's error is rethrown from poll().
 //
 // Ownership: the runtime borrows the fleet and the clock (both must
 // outlive it) and owns its store, query engine, pair pipelines and
@@ -30,11 +34,11 @@
 // store(), query_engine() and stats() may be used concurrently from any
 // thread, including while a poll is in flight — that is the point.
 //
-// Determinism: under a VirtualClock a completed run is bit-identical to
-// FleetMonitorEngine::run() over the same fleet/config/seed — per-pair
-// noise seeds come from the same sequential fork, and each pair's windows
-// are stepped in timeline order regardless of how poll() batches them.
-// Only write-generation counters (and wall-clock stats) differ.
+// Determinism: under a VirtualClock a completed run is bit-identical
+// however poll() batches the windows — one beat or thousands, any worker
+// count: per-pair noise seeds come from one sequential fork, and each
+// pair's windows are stepped in timeline order. Only write-generation
+// counters (and wall-clock and fan-out stats) differ.
 #pragma once
 
 #include <atomic>
@@ -42,17 +46,20 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/shard.h"
+#include "monitor/pipeline.h"
 #include "runtime/clock.h"
 
 namespace nyqmon::rt {
 
 struct RuntimeConfig {
-  /// Fleet/pipeline/store/storage knobs, shared with the batch engine so a
-  /// streaming run is comparable (and bit-identical) to a batch run.
+  /// Fleet/pipeline/store/storage/worker knobs; FleetMonitorEngine runs
+  /// with exactly these.
   eng::EngineConfig engine;
   /// Checkpoint the durable tier (WAL → sealed segments) every N processed
   /// pair-windows, fleet-wide; 0 = only on explicit checkpoint() and at
@@ -81,8 +88,6 @@ class StreamingRuntime {
   StreamingRuntime(const tel::Fleet& fleet, Clock& clock,
                    RuntimeConfig config = {});
 
-  const RuntimeConfig& config() const { return config_; }
-
   /// True once every pair has been driven through its full timeline.
   bool done() const { return pairs_done_.load() == tasks_.size(); }
 
@@ -90,16 +95,22 @@ class StreamingRuntime {
   /// done().
   double next_deadline_s() const;
 
+  /// End of the fleet's timeline: the longest pair's last window end (also
+  /// a query horizon covering every stream). With the clock here, one
+  /// poll() drives every pair to completion.
+  double end_s() const { return end_s_; }
+
   /// Drive every pair whose next window deadline has passed on the clock,
-  /// in parallel. Returns the number of windows processed.
+  /// in parallel. Returns the number of windows processed. A pair's error
+  /// is rethrown here after the workers join; the runtime is unusable
+  /// afterwards.
   std::size_t poll();
 
   /// sleep_until the next deadline, then poll() — one scheduler beat.
   std::size_t step();
 
   /// Drive the remaining timeline to completion and return the aggregate
-  /// result; bit-identical to FleetMonitorEngine::run() over the same
-  /// fleet/config/seed (wall_seconds and shard accounting aside).
+  /// result, with the fan-out of every beat so far (see FleetRunResult).
   /// Single-shot, but poll()/step() beforehand are fine.
   eng::FleetRunResult run_to_completion();
 
@@ -126,20 +137,23 @@ class StreamingRuntime {
 
  private:
   struct PairTask {
+    /// Built at the pair's first advance; freed once the pair is done.
     std::unique_ptr<mon::StreamingPairPipeline> pipeline;
-    std::string stream_id;
+    std::string stream_id;  ///< moved into the outcome once done
+    std::uint64_t noise_seed = 0;
     double next_deadline_s = 0.0;
     std::size_t ingested = 0;      ///< recon values appended to the store
     std::size_t windows_seen = 0;  ///< steps accounted into the counters
     std::uint64_t samples_seen = 0;
     bool done = false;
-    eng::PairOutcome outcome;  ///< valid once done
   };
 
   /// Step one due pair through every window whose deadline has passed,
   /// ingest the newly finalized reconstruction slice, and finalize the
   /// outcome when the pair's timeline ends. Runs on a worker thread.
   void advance_pair(std::size_t index, double now_s);
+  /// Append the part of `recon` the store has not seen yet.
+  void ingest_tail(PairTask& task, std::span<const double> recon);
   sto::FlushStats checkpoint_locked();
 
   const tel::Fleet& fleet_;
@@ -150,6 +164,10 @@ class StreamingRuntime {
   qry::QueryEngine query_;
   std::vector<tel::PairSchedule> schedules_;
   std::vector<PairTask> tasks_;
+  /// Per-pair results, by fleet index; a slot is valid once its pair is
+  /// done. Handed over whole to run_to_completion()'s result.
+  std::vector<eng::PairOutcome> outcomes_;
+  double end_s_ = 0.0;
 
   /// Serializes the scheduler entry points (poll/checkpoint/finalize).
   mutable std::mutex scheduler_mu_;
@@ -159,6 +177,9 @@ class StreamingRuntime {
       deadlines_;
   std::size_t windows_since_checkpoint_ = 0;
   bool finalized_ = false;
+  /// Fan-out over the beats so far: widest workers/pins, summed arenas.
+  eng::ShardRunStats fanout_;
+  std::size_t shards_claimed_ = 0;
 
   std::atomic<std::size_t> pairs_done_{0};
   std::atomic<std::uint64_t> windows_processed_{0};

@@ -1,4 +1,6 @@
-// Deterministic fan-out helper shared by the fleet audit and the engine.
+// Deterministic fan-out helper shared by the fleet audit and the query
+// engine, plus the worker-count and pinning primitives the fleet driver
+// (engine/shard.h) builds on.
 //
 // Runs `task(i)` for every i in [0, n_tasks) on a fixed pool of worker
 // threads that claim indices from a shared atomic counter. Callers keep

@@ -275,8 +275,8 @@ TEST(Engine, RetainsQueryableStreamsAndReports) {
 
 TEST(Engine, WorkerExceptionsPropagateToCaller) {
   // A throwing task on a pooled std::thread used to std::terminate the
-  // process; parallel_claim must surface it on the calling thread whatever
-  // the worker count.
+  // process; the engine's single scheduler beat must surface it on the
+  // calling thread whatever the worker count.
   tel::FleetConfig fleet_cfg;
   fleet_cfg.target_pairs = 16;
   fleet_cfg.topology.pods = 2;

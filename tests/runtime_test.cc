@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,18 +87,6 @@ eng::EngineConfig small_engine_config() {
   return cfg;
 }
 
-// Longest pair timeline in the fleet — a sane query horizon (an unbounded
-// t_end would ask the aligner for a multi-million-point output grid).
-double fleet_span_s(const tel::Fleet& fleet, const eng::EngineConfig& cfg) {
-  double hi = 0.0;
-  for (const auto& p : fleet.pairs()) {
-    hi = std::max(hi, tel::schedule_pair(p, cfg.samples_per_window,
-                                         cfg.windows_per_pair)
-                          .duration_s);
-  }
-  return hi;
-}
-
 TEST(Runtime, PollBeforeAnyDeadlineDoesNothing) {
   const tel::Fleet fleet = small_fleet(8, 5);
   rt::VirtualClock clock;
@@ -131,6 +120,31 @@ TEST(Runtime, StepDrivesWindowsInDeadlineOrder) {
   // Every pair ran windows_per_pair windows.
   EXPECT_EQ(runtime.stats().windows_processed,
             fleet.size() * cfg.engine.windows_per_pair);
+
+  // The result reports the fan-out the beats actually ran: every pair was
+  // advanced at least once inside a worker arena, through claimed shards.
+  const eng::FleetRunResult result = runtime.run_to_completion();
+  EXPECT_GE(result.arena.pairs_processed, fleet.size());
+  EXPECT_GT(result.shards_used, 0u);
+  EXPECT_GE(result.workers_used, 1u);
+  EXPECT_LE(result.workers_used, cfg.engine.workers);
+}
+
+TEST(Runtime, PairExceptionsPropagateToCaller) {
+  // A pair's error (here: a sampler config every pair's pipeline rejects)
+  // is raised on a worker thread; it must surface from run_to_completion()
+  // on the calling thread, not std::terminate the process.
+  const tel::Fleet fleet = small_fleet(16, 5);
+  for (const std::size_t workers : {1u, 4u}) {
+    rt::VirtualClock clock;
+    rt::RuntimeConfig cfg;
+    cfg.engine = small_engine_config();
+    cfg.engine.workers = workers;
+    cfg.engine.sampler.probe_factor = 1.0;
+    rt::StreamingRuntime runtime(fleet, clock, cfg);
+    EXPECT_THROW(runtime.run_to_completion(), std::invalid_argument)
+        << workers;
+  }
 }
 
 // ------------------------------------------- streaming == batch, 500 pairs --
@@ -142,89 +156,102 @@ TEST(Runtime, StreamingMatchesBatchBitExactly500Pairs) {
   const tel::Fleet fleet(fleet_cfg);
   ASSERT_GE(fleet.size(), 500u);
 
-  eng::EngineConfig shared = small_engine_config();
-  shared.workers = 4;
+  // Batch (one beat) against streaming (a beat per deadline), each at 1
+  // and at 4 workers.
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    eng::EngineConfig shared = small_engine_config();
+    shared.workers = workers;
 
-  eng::FleetMonitorEngine batch(fleet, shared);
-  const eng::FleetRunResult batch_result = batch.run();
+    eng::FleetMonitorEngine batch(fleet, shared);
+    const eng::FleetRunResult batch_result = batch.run();
 
-  rt::VirtualClock clock;
-  rt::RuntimeConfig cfg;
-  cfg.engine = shared;
-  rt::StreamingRuntime streaming(fleet, clock, cfg);
-  const eng::FleetRunResult live_result = streaming.run_to_completion();
+    rt::VirtualClock clock;
+    rt::RuntimeConfig cfg;
+    cfg.engine = shared;
+    rt::StreamingRuntime streaming(fleet, clock, cfg);
+    const eng::FleetRunResult live_result = streaming.run_to_completion();
 
-  // Per-pair outcomes, bit for bit.
-  ASSERT_EQ(live_result.pairs.size(), batch_result.pairs.size());
-  for (std::size_t i = 0; i < batch_result.pairs.size(); ++i) {
-    const auto& a = batch_result.pairs[i];
-    const auto& b = live_result.pairs[i];
-    ASSERT_EQ(a.stream_id, b.stream_id);
-    EXPECT_TRUE(same_bits(a.production_rate_hz, b.production_rate_hz));
-    EXPECT_TRUE(same_bits(a.cost_savings, b.cost_savings)) << a.stream_id;
-    EXPECT_TRUE(same_bits(a.nrmse, b.nrmse)) << a.stream_id;
-    EXPECT_TRUE(same_bits(a.max_abs_error, b.max_abs_error)) << a.stream_id;
-    EXPECT_EQ(a.adaptive_samples, b.adaptive_samples) << a.stream_id;
-    EXPECT_EQ(a.baseline_samples, b.baseline_samples) << a.stream_id;
-    EXPECT_EQ(a.audit.windows, b.audit.windows);
-    EXPECT_EQ(a.audit.aliased_windows, b.audit.aliased_windows);
-    EXPECT_EQ(a.audit.probe_windows, b.audit.probe_windows);
-    EXPECT_TRUE(same_bits(a.audit.max_rate_hz, b.audit.max_rate_hz));
-    EXPECT_EQ(a.store_bytes_raw, b.store_bytes_raw) << a.stream_id;
-    EXPECT_EQ(a.store_bytes_stored, b.store_bytes_stored) << a.stream_id;
-  }
+    // Batch is one beat: every pair advanced exactly once.
+    EXPECT_EQ(batch_result.arena.pairs_processed, fleet.size());
+    EXPECT_GE(live_result.arena.pairs_processed, fleet.size());
 
-  // Fleet aggregates.
-  EXPECT_TRUE(same_bits(batch_result.fleet_cost_savings(),
-                        live_result.fleet_cost_savings()));
-  EXPECT_EQ(batch_result.store.streams, live_result.store.streams);
-  EXPECT_EQ(batch_result.store.ingested_samples,
-            live_result.store.ingested_samples);
-  EXPECT_EQ(batch_result.store.stored_samples, live_result.store.stored_samples);
-  EXPECT_EQ(batch_result.store.chunks, live_result.store.chunks);
-  EXPECT_EQ(batch_result.store.chunks_reduced, live_result.store.chunks_reduced);
-  EXPECT_EQ(batch_result.store.bytes_raw, live_result.store.bytes_raw);
-  EXPECT_EQ(batch_result.store.bytes_stored, live_result.store.bytes_stored);
-
-  // Store contents: every stream's sealed chunks and hot tail, bit for bit.
-  // (Write-generation counters differ by design: streaming ingests each
-  // stream in many batches, the batch engine in one.)
-  const auto names = batch.store().stream_names();
-  ASSERT_EQ(names, streaming.store().stream_names());
-  for (const auto& name : names) {
-    const auto a = batch.store().snapshot_stream(name);
-    const auto b = streaming.store().snapshot_stream(name);
-    ASSERT_EQ(a.chunks.size(), b.chunks.size()) << name;
-    for (std::size_t c = 0; c < a.chunks.size(); ++c) {
-      EXPECT_TRUE(same_bits(a.chunks[c].t0, b.chunks[c].t0)) << name;
-      EXPECT_TRUE(same_bits(a.chunks[c].dt, b.chunks[c].dt)) << name;
-      EXPECT_TRUE(same_values(a.chunks[c].values, b.chunks[c].values)) << name;
+    // Per-pair outcomes, bit for bit.
+    ASSERT_EQ(live_result.pairs.size(), batch_result.pairs.size());
+    for (std::size_t i = 0; i < batch_result.pairs.size(); ++i) {
+      const auto& a = batch_result.pairs[i];
+      const auto& b = live_result.pairs[i];
+      ASSERT_EQ(a.stream_id, b.stream_id);
+      EXPECT_TRUE(same_bits(a.production_rate_hz, b.production_rate_hz));
+      EXPECT_TRUE(same_bits(a.cost_savings, b.cost_savings)) << a.stream_id;
+      EXPECT_TRUE(same_bits(a.nrmse, b.nrmse)) << a.stream_id;
+      EXPECT_TRUE(same_bits(a.max_abs_error, b.max_abs_error)) << a.stream_id;
+      EXPECT_EQ(a.adaptive_samples, b.adaptive_samples) << a.stream_id;
+      EXPECT_EQ(a.baseline_samples, b.baseline_samples) << a.stream_id;
+      EXPECT_EQ(a.audit.windows, b.audit.windows);
+      EXPECT_EQ(a.audit.aliased_windows, b.audit.aliased_windows);
+      EXPECT_EQ(a.audit.probe_windows, b.audit.probe_windows);
+      EXPECT_TRUE(same_bits(a.audit.max_rate_hz, b.audit.max_rate_hz));
+      EXPECT_EQ(a.store_bytes_raw, b.store_bytes_raw) << a.stream_id;
+      EXPECT_EQ(a.store_bytes_stored, b.store_bytes_stored) << a.stream_id;
     }
-    EXPECT_TRUE(same_values(a.hot, b.hot)) << name;
-    EXPECT_TRUE(same_bits(a.collection_rate_hz, b.collection_rate_hz));
 
-    const auto meta = batch.store().meta(name);
-    const auto q_a = batch.store().query(name, meta.t0, meta.t_end);
-    const auto q_b = streaming.store().query(name, meta.t0, meta.t_end);
-    EXPECT_TRUE(same_bits(q_a.t0(), q_b.t0())) << name;
-    EXPECT_TRUE(same_values(q_a.span(), q_b.span())) << name;
-  }
+    // Fleet aggregates.
+    EXPECT_TRUE(same_bits(batch_result.fleet_cost_savings(),
+                          live_result.fleet_cost_savings()));
+    EXPECT_EQ(batch_result.store.streams, live_result.store.streams);
+    EXPECT_EQ(batch_result.store.ingested_samples,
+              live_result.store.ingested_samples);
+    EXPECT_EQ(batch_result.store.stored_samples,
+              live_result.store.stored_samples);
+    EXPECT_EQ(batch_result.store.chunks, live_result.store.chunks);
+    EXPECT_EQ(batch_result.store.chunks_reduced,
+              live_result.store.chunks_reduced);
+    EXPECT_EQ(batch_result.store.bytes_raw, live_result.store.bytes_raw);
+    EXPECT_EQ(batch_result.store.bytes_stored, live_result.store.bytes_stored);
 
-  // Query-engine results over the served store, bit for bit.
-  qry::QuerySpec spec;
-  spec.selector = "*/*";
-  spec.t_begin = 0.0;
-  spec.t_end = fleet_span_s(fleet, shared);
-  spec.step_s = spec.t_end / 512.0;
-  spec.aggregate = qry::Aggregation::kP95;
-  auto serve = batch.serve();
-  const auto r_batch = serve.run(spec);
-  const auto r_live = streaming.query_engine().run(spec);
-  ASSERT_EQ(r_batch.result->series.size(), r_live.result->series.size());
-  for (std::size_t s = 0; s < r_batch.result->series.size(); ++s) {
-    EXPECT_EQ(r_batch.result->series[s].label, r_live.result->series[s].label);
-    EXPECT_TRUE(same_values(r_batch.result->series[s].series.span(),
-                            r_live.result->series[s].series.span()));
+    // Store contents: every stream's sealed chunks and hot tail, bit for bit.
+    // (Write-generation counters differ by design: streaming ingests each
+    // stream in many batches, the batch engine in one.)
+    const auto names = batch.store().stream_names();
+    ASSERT_EQ(names, streaming.store().stream_names());
+    for (const auto& name : names) {
+      const auto a = batch.store().snapshot_stream(name);
+      const auto b = streaming.store().snapshot_stream(name);
+      ASSERT_EQ(a.chunks.size(), b.chunks.size()) << name;
+      for (std::size_t c = 0; c < a.chunks.size(); ++c) {
+        EXPECT_TRUE(same_bits(a.chunks[c].t0, b.chunks[c].t0)) << name;
+        EXPECT_TRUE(same_bits(a.chunks[c].dt, b.chunks[c].dt)) << name;
+        EXPECT_TRUE(same_values(a.chunks[c].values, b.chunks[c].values))
+            << name;
+      }
+      EXPECT_TRUE(same_values(a.hot, b.hot)) << name;
+      EXPECT_TRUE(same_bits(a.collection_rate_hz, b.collection_rate_hz));
+
+      const auto meta = batch.store().meta(name);
+      const auto q_a = batch.store().query(name, meta.t0, meta.t_end);
+      const auto q_b = streaming.store().query(name, meta.t0, meta.t_end);
+      EXPECT_TRUE(same_bits(q_a.t0(), q_b.t0())) << name;
+      EXPECT_TRUE(same_values(q_a.span(), q_b.span())) << name;
+    }
+
+    // Query-engine results over the served store, bit for bit.
+    qry::QuerySpec spec;
+    spec.selector = "*/*";
+    spec.t_begin = 0.0;
+    spec.t_end = streaming.end_s();
+    spec.step_s = spec.t_end / 512.0;
+    spec.aggregate = qry::Aggregation::kP95;
+    auto serve = batch.serve();
+    const auto r_batch = serve.run(spec);
+    const auto r_live = streaming.query_engine().run(spec);
+    ASSERT_EQ(r_batch.result->series.size(), r_live.result->series.size());
+    for (std::size_t s = 0; s < r_batch.result->series.size(); ++s) {
+      EXPECT_EQ(r_batch.result->series[s].label,
+                r_live.result->series[s].label);
+      EXPECT_TRUE(same_values(r_batch.result->series[s].series.span(),
+                              r_live.result->series[s].series.span()));
+    }
   }
 }
 
@@ -245,7 +272,7 @@ TEST(Runtime, ServesQueriesDuringIngestWithGenerationInvalidation) {
   qry::QuerySpec spec;
   spec.selector = "*/*";
   spec.t_begin = 0.0;
-  spec.t_end = fleet_span_s(fleet, cfg.engine);
+  spec.t_end = runtime.end_s();
   spec.step_s = spec.t_end / 256.0;
   spec.aggregate = qry::Aggregation::kAvg;
 
@@ -286,7 +313,7 @@ TEST(Runtime, ConcurrentQueriesWhilePolling) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> queries{0};
-  const double span = fleet_span_s(fleet, cfg.engine);
+  const double span = runtime.end_s();
   std::thread reader([&] {
     qry::QuerySpec spec;
     spec.selector = "*/*";
