@@ -68,6 +68,19 @@ srv::NyqmonClient& ClusterClient::node(std::size_t i) {
 
 void ClusterClient::reset(std::size_t i) { conns_[i].reset(); }
 
+template <typename Fn>
+auto ClusterClient::on_node(std::size_t i, Fn&& fn)
+    -> decltype(fn(std::declval<srv::NyqmonClient&>())) {
+  try {
+    return fn(node(i));
+  } catch (const srv::ServerError&) {
+    throw;  // the server answered; the connection stays synchronized
+  } catch (const std::runtime_error&) {
+    reset(i);  // unsynchronized stream: reconnect on next use
+    throw;
+  }
+}
+
 std::uint64_t ClusterClient::ingest(const std::string& stream, double rate_hz,
                                     double t0,
                                     std::span<const double> values) {
@@ -84,26 +97,17 @@ std::uint64_t ClusterClient::ingest(const std::string& stream, double rate_hz,
   if (obs::TraceRecorder::instance().enabled() && tctx.trace_id != 0)
     srv::append_trace_context(
         payload, srv::TraceContext{tctx.trace_id, tctx.span_id, 1});
+  srv::Request request;
+  request.verb = srv::Verb::kIngest;
+  request.payload = payload;
   return srv::retry_with_backoff(config_.retry, [&] {
-    try {
-      const auto body = node(owner).request_raw(
-          static_cast<std::uint8_t>(srv::Verb::kIngest), payload);
-      sto::ByteReader reader(body);
-      const auto status = static_cast<srv::Status>(reader.get_u8());
-      if (status != srv::Status::kOk) {
-        const std::string message = reader.get_string();
-        throw srv::ServerError(message.empty() ? "(no message)" : message,
-                               srv::decode_error_detail(reader));
-      }
+    return on_node(owner, [&](srv::NyqmonClient& conn) {
+      const std::vector<std::uint8_t> reply = conn.call_ok(request);
+      sto::ByteReader reader(reply);
       const std::uint64_t total = reader.get_u64();
       if (!reader.ok()) throw std::runtime_error("malformed INGEST response");
       return total;
-    } catch (const srv::ServerError&) {
-      throw;  // the server answered; retrying cannot change it
-    } catch (const std::runtime_error&) {
-      reset(owner);  // unsynchronized stream: reconnect on retry
-      throw;
-    }
+    });
   });
 }
 
@@ -308,22 +312,15 @@ FleetQuery ClusterClient::query(const qry::QuerySpec& spec) {
 }
 
 std::vector<NodeText> ClusterClient::fleet_stats() {
-  ScatterOutcome scattered = scatter(srv::Verb::kStats, {});
-  std::vector<NodeText> out(config_.nodes.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i].node = config_.nodes[i].id;
-    if (scattered.payloads[i].has_value())
-      out[i].text.assign(scattered.payloads[i]->begin(),
-                         scattered.payloads[i]->end());
-  }
-  for (const srv::ErrorDetail& f : scattered.failures)
-    for (NodeText& node : out)
-      if (node.node == f.node && node.text.empty()) node.error = f.error;
-  return out;
+  return fleet_text(srv::Verb::kStats);
 }
 
 std::vector<NodeText> ClusterClient::fleet_metrics() {
-  ScatterOutcome scattered = scatter(srv::Verb::kMetrics, {});
+  return fleet_text(srv::Verb::kMetrics);
+}
+
+std::vector<NodeText> ClusterClient::fleet_text(srv::Verb verb) {
+  ScatterOutcome scattered = scatter(verb, {});
   std::vector<NodeText> out(config_.nodes.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i].node = config_.nodes[i].id;
@@ -337,24 +334,27 @@ std::vector<NodeText> ClusterClient::fleet_metrics() {
   return out;
 }
 
-std::vector<std::optional<srv::CheckpointReply>> ClusterClient::checkpoint_all(
+srv::CheckpointReply ClusterClient::checkpoint_all(
     std::vector<srv::ErrorDetail>& failures) {
   ScatterOutcome scattered = scatter(srv::Verb::kCheckpoint, {});
-  std::vector<std::optional<srv::CheckpointReply>> out(config_.nodes.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
+  srv::CheckpointReply merged;
+  merged.persisted = true;
+  for (std::size_t i = 0; i < scattered.payloads.size(); ++i) {
     if (!scattered.payloads[i].has_value()) continue;
     sto::ByteReader reader(*scattered.payloads[i]);
-    auto reply = srv::decode_checkpoint_reply(reader);
-    if (reply.has_value()) {
-      out[i] = *reply;
-    } else {
+    const auto reply = srv::decode_checkpoint_reply(reader);
+    if (!reply.has_value()) {
       scattered.failures.push_back(
           {config_.nodes[i].id, "malformed CHECKPOINT response"});
       reset(i);
+      continue;
     }
+    merged.persisted = merged.persisted && reply->persisted;
+    merged.chunks += reply->chunks;
+    merged.bytes_written += reply->bytes_written;
   }
   failures = std::move(scattered.failures);
-  return out;
+  return merged;
 }
 
 srv::HandoffImportReply ClusterClient::handoff(const std::string& selector,
@@ -362,23 +362,13 @@ srv::HandoffImportReply ClusterClient::handoff(const std::string& selector,
                                                std::size_t to) {
   if (from >= nodes() || to >= nodes() || from == to)
     throw std::invalid_argument("handoff needs two distinct node indices");
-  srv::HandoffExportReply exported;
-  try {
-    exported = node(from).handoff_export(selector);
-  } catch (const srv::ServerError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    reset(from);
-    throw;
-  }
-  try {
-    return node(to).handoff_import(exported.segment);
-  } catch (const srv::ServerError&) {
-    throw;
-  } catch (const std::runtime_error&) {
-    reset(to);
-    throw;
-  }
+  const srv::HandoffExportReply exported =
+      on_node(from, [&](srv::NyqmonClient& conn) {
+        return conn.handoff_export(selector);
+      });
+  return on_node(to, [&](srv::NyqmonClient& conn) {
+    return conn.handoff_import(exported.segment);
+  });
 }
 
 }  // namespace nyqmon::clu

@@ -38,6 +38,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/hash.h"
@@ -125,10 +126,10 @@ class ClusterClient {
   /// Every node's Prometheus exposition (or its error).
   std::vector<NodeText> fleet_metrics();
 
-  /// Scatter CHECKPOINT to every node. Failures land in
-  /// `outcome.failures`; each OK payload is a decoded CheckpointReply.
-  std::vector<std::optional<srv::CheckpointReply>> checkpoint_all(
-      std::vector<srv::ErrorDetail>& failures);
+  /// Scatter CHECKPOINT to every node and merge the answers: chunks and
+  /// bytes summed, persisted only when every node persisted. Failed nodes
+  /// land in `failures` and contribute nothing.
+  srv::CheckpointReply checkpoint_all(std::vector<srv::ErrorDetail>& failures);
 
   /// Move every stream matching `selector` from node `from` to node `to`:
   /// EXPORT on the source, IMPORT on the destination. Non-destructive on
@@ -147,6 +148,14 @@ class ClusterClient {
  private:
   /// Lazily connected backend client; throws when (re)connect fails.
   srv::NyqmonClient& node(std::size_t i);
+  /// Scatter one payload-free `verb` and collect each node's text reply
+  /// (or its error), index-aligned with nodes().
+  std::vector<NodeText> fleet_text(srv::Verb verb);
+  /// Run `fn` on node i's connection. A transport failure resets it (see
+  /// reset()) before propagating; a ServerError leaves it open.
+  template <typename Fn>
+  auto on_node(std::size_t i, Fn&& fn)
+      -> decltype(fn(std::declval<srv::NyqmonClient&>()));
   /// Drop node i's connection so the next use reconnects (a timed-out or
   /// failed exchange leaves the byte stream unsynchronized).
   void reset(std::size_t i);

@@ -26,42 +26,27 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-std::vector<std::uint8_t> text_frame(const std::string& text,
-                                     std::size_t max_frame_bytes,
-                                     const char* what) {
-  if (text.size() >= max_frame_bytes)
-    return srv::error_frame(std::string(what) + " exceeds the frame cap");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(text.data());
-  return srv::ok_frame(std::span<const std::uint8_t>(bytes, text.size()));
-}
-
 }  // namespace
 
 NyqmonRouter::NyqmonRouter(RouterConfig config)
-    : config_(std::move(config)), cluster_(config_.cluster) {}
+    : config_(std::move(config)),
+      cluster_(config_.cluster),
+      front_({.bind_address = config_.bind_address,
+              .port = config_.port,
+              .max_frame_bytes = config_.max_frame_bytes,
+              .max_reply_queue_bytes = config_.max_reply_queue_bytes,
+              .max_reply_queue_frames = config_.max_reply_queue_frames,
+              .slow_client_timeout_ms = config_.slow_client_timeout_ms,
+              .node_name = config_.node_name},
+             [this](srv::Verb verb, sto::ByteReader& reader) {
+               return handle(verb, reader);
+             }) {}
 
 NyqmonRouter::~NyqmonRouter() { stop(); }
 
 void NyqmonRouter::start() {
-  srv::ServerConfig front;
-  front.bind_address = config_.bind_address;
-  front.port = config_.port;
-  front.max_frame_bytes = config_.max_frame_bytes;
-  front.max_reply_queue_bytes = config_.max_reply_queue_bytes;
-  front.max_reply_queue_frames = config_.max_reply_queue_frames;
-  front.slow_client_timeout_ms = config_.slow_client_timeout_ms;
-  front.node_name = config_.node_name;
-  front.intercept = [this](srv::Verb verb, sto::ByteReader& reader) {
-    return intercept(verb, reader);
-  };
-  front_ = std::make_unique<srv::NyqmondServer>(empty_store_, nullptr,
-                                                std::move(front));
-  front_->start();
+  front_.start();
   NYQMON_OBS_GAUGE_SET("nyqmon_router_ring_nodes_depth", cluster_.nodes());
-}
-
-void NyqmonRouter::stop() {
-  if (front_ != nullptr) front_->stop();
 }
 
 void NyqmonRouter::count_failures(
@@ -73,9 +58,8 @@ void NyqmonRouter::count_failures(
   NYQMON_OBS_COUNT("nyqmon_router_backend_errors_total", failures.size());
 }
 
-std::optional<std::vector<std::uint8_t>> NyqmonRouter::intercept(
-    srv::Verb verb, sto::ByteReader& reader) {
-  frames_.fetch_add(1);
+std::vector<std::uint8_t> NyqmonRouter::handle(srv::Verb verb,
+                                               sto::ByteReader& reader) {
   NYQMON_OBS_COUNT("nyqmon_router_frames_total", 1);
   switch (verb) {
     case srv::Verb::kIngest:
@@ -90,32 +74,22 @@ std::optional<std::vector<std::uint8_t>> NyqmonRouter::intercept(
       return srv::error_frame(
           "HANDOFF addresses a backend node directly, not the router");
     case srv::Verb::kLogs:
-      // The router's own structured-log rings: built-in handler.
-      return std::nullopt;
-    case srv::Verb::kMetrics: {
-      if (reader.remaining() == 0)
-        return std::nullopt;  // router's own registry: built-in handler
-      const std::uint8_t flags = reader.get_u8();
-      if (!reader.ok() || reader.remaining() != 0)
-        return srv::error_frame("malformed METRICS payload");
-      if ((flags & srv::kMetricsFleet) != 0) return fleet_metrics_text();
-      // Flags byte consumed, so serve the local exposition here instead of
-      // falling through (nullopt promises an untouched reader).
-      return text_frame(obs::Registry::instance().render_prometheus(),
-                        config_.max_frame_bytes, "metrics exposition");
-    }
+      return srv::local_text_reply(verb, config_.max_frame_bytes);
+    case srv::Verb::kMetrics:
     case srv::Verb::kTrace: {
-      if (reader.remaining() == 0)
-        return std::nullopt;  // router's own rings: built-in handler
-      const std::uint8_t flags = reader.get_u8();
-      if (!reader.ok() || reader.remaining() != 0)
-        return srv::error_frame("malformed TRACE payload");
-      if ((flags & srv::kTraceFleet) != 0) return fleet_trace_json();
-      return text_frame(obs::TraceRecorder::instance().export_chrome_json(),
-                        config_.max_frame_bytes, "trace export");
+      // An optional flags byte whose fleet bit scatters the request; bytes
+      // after it are malformed (a plain nyqmond ignores payload bytes here).
+      const bool metrics = verb == srv::Verb::kMetrics;
+      const std::uint8_t flags = reader.remaining() != 0 ? reader.get_u8() : 0;
+      if (reader.remaining() != 0)
+        return srv::error_frame(metrics ? "malformed METRICS payload"
+                                        : "malformed TRACE payload");
+      if ((flags & (metrics ? srv::kMetricsFleet : srv::kTraceFleet)) == 0)
+        return srv::local_text_reply(verb, config_.max_frame_bytes);
+      return metrics ? fleet_metrics_text() : fleet_trace_json();
     }
   }
-  return std::nullopt;  // unknown verb: built-in ERR path
+  return srv::error_frame("unknown verb");  // the transport answers these
 }
 
 std::vector<std::uint8_t> NyqmonRouter::route_ingest(sto::ByteReader& reader) {
@@ -129,13 +103,12 @@ std::vector<std::uint8_t> NyqmonRouter::route_ingest(sto::ByteReader& reader) {
     sto::put_u64(payload, total);
     return srv::ok_frame(payload);
   } catch (const srv::ServerError& e) {
-    count_failures({{cluster_.ring().owner_node(req->stream).id, e.what()}});
+    // The owner answered ERR: pass its own detail through when it sent one.
+    const std::vector<srv::ErrorDetail> detail{
+        {cluster_.ring().owner_node(req->stream).id, e.what()}};
+    count_failures(detail);
     return srv::error_frame_with_detail(
-        e.what(),
-        e.details().empty()
-            ? std::vector<srv::ErrorDetail>{
-                  {cluster_.ring().owner_node(req->stream).id, e.what()}}
-            : e.details());
+        e.what(), e.details().empty() ? detail : e.details());
   } catch (const std::exception& e) {
     const std::vector<srv::ErrorDetail> detail{
         {cluster_.ring().owner_node(req->stream).id, e.what()}};
@@ -196,7 +169,7 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_stats_json() {
       "{\"router\":{\"nodes\":%zu,\"frames\":%llu,\"ingests_routed\":%llu,"
       "\"queries_scattered\":%llu,\"partial_failures\":%llu,"
       "\"backend_errors\":%llu},\"backends\":[",
-      cluster_.nodes(), static_cast<unsigned long long>(frames_.load()),
+      cluster_.nodes(), static_cast<unsigned long long>(front_.stats().frames),
       static_cast<unsigned long long>(ingests_routed_.load()),
       static_cast<unsigned long long>(queries_scattered_.load()),
       static_cast<unsigned long long>(partial_failures_.load()),
@@ -215,27 +188,16 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_stats_json() {
     json += '}';
   }
   json += "]}";
-  if (json.size() >= config_.max_frame_bytes)
-    return srv::error_frame("fleet stats exceed the frame cap");
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(json.data());
-  return srv::ok_frame(std::span<const std::uint8_t>(bytes, json.size()));
+  return srv::text_frame(json, config_.max_frame_bytes, "fleet stats");
 }
 
 std::vector<std::uint8_t> NyqmonRouter::scatter_checkpoint() {
   std::vector<srv::ErrorDetail> failures;
-  const auto replies = cluster_.checkpoint_all(failures);
+  const srv::CheckpointReply merged = cluster_.checkpoint_all(failures);
   if (!failures.empty()) {
     count_failures(failures);
     return srv::error_frame_with_detail(
         partial_failure_message(failures.size(), cluster_.nodes()), failures);
-  }
-  srv::CheckpointReply merged;
-  merged.persisted = true;
-  for (const auto& reply : replies) {
-    if (!reply.has_value()) continue;
-    merged.persisted = merged.persisted && reply->persisted;
-    merged.chunks += reply->chunks;
-    merged.bytes_written += reply->bytes_written;
   }
   return srv::ok_frame(srv::encode_checkpoint_reply(merged));
 }
@@ -253,8 +215,8 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_trace_json() {
     if (payload.has_value())
       parts.emplace_back(payload->begin(), payload->end());
   parts.push_back(obs::TraceRecorder::instance().export_chrome_json());
-  return text_frame(obs::merge_chrome_json(parts), config_.max_frame_bytes,
-                    "stitched trace export");
+  return srv::text_frame(obs::merge_chrome_json(parts),
+                         config_.max_frame_bytes, "stitched trace export");
 }
 
 std::vector<std::uint8_t> NyqmonRouter::fleet_metrics_text() {
@@ -268,16 +230,18 @@ std::vector<std::uint8_t> NyqmonRouter::fleet_metrics_text() {
     else
       text += "# error: " + backend.error + "\n";
   }
-  return text_frame(text, config_.max_frame_bytes, "fleet metrics");
+  return srv::text_frame(text, config_.max_frame_bytes, "fleet metrics");
 }
 
 RouterStats NyqmonRouter::stats() const {
+  const srv::ServerStats wire = front_.stats();
   RouterStats s;
-  s.frames = frames_.load();
+  s.frames = wire.frames;
   s.ingests_routed = ingests_routed_.load();
   s.queries_scattered = queries_scattered_.load();
   s.partial_failures = partial_failures_.load();
   s.backend_errors = backend_errors_.load();
+  s.protocol_errors = wire.protocol_errors;
   return s;
 }
 

@@ -25,6 +25,7 @@
 //                 trace ids
 //   HANDOFF     → refused: topology moves address a backend node directly
 //                 (nyqmon_ctl handoff), not the fleet front
+//   LOGS        → the router process's own structured-log rings
 //
 // With the kQueryWantExplain flag, the scattered QUERY's reply carries the
 // router's own stage breakdown — scatter, merge (decode + central
@@ -32,20 +33,19 @@
 // that overlap the scatter stage — appended to whatever the wire already
 // carried.
 //
-// Implementation: a NyqmondServer over an empty store with the intercept
-// hook — the router inherits the event loop, framing robustness, and
-// bounded reply queues, and replaces the data path.
+// Implementation: the shared srv::Transport (server/transport.h) with the
+// scatter/route handler below — the router gets nyqmond's event loop,
+// framing robustness, bounded reply queues and nyqmon_server_* /
+// nyqmon_reactor_* series, and holds no store and no query engine. Its
+// local METRICS/TRACE/LOGS replies are nyqmond's (srv::local_text_reply).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "cluster/client.h"
-#include "monitor/striped_store.h"
-#include "server/server.h"
+#include "server/transport.h"
 
 namespace nyqmon::clu {
 
@@ -54,7 +54,7 @@ struct RouterConfig {
   /// 0 = ephemeral; read back with port().
   std::uint16_t port = 0;
   std::size_t max_frame_bytes = srv::kMaxFrameBytes;
-  /// Reply-queue bounds for front-side clients (see ServerConfig).
+  /// Reply-queue bounds for front-side clients (see TransportConfig).
   std::size_t max_reply_queue_bytes = 0;
   std::size_t max_reply_queue_frames = 64;
   std::uint32_t slow_client_timeout_ms = 0;
@@ -73,6 +73,9 @@ struct RouterStats {
   std::uint64_t partial_failures = 0;
   /// Individual backend failures across all scatter rounds.
   std::uint64_t backend_errors = 0;
+  /// Front-side frames answered ERR for framing or dispatch faults (bad
+  /// length prefix, unknown verb, handler exception).
+  std::uint64_t protocol_errors = 0;
 };
 
 class NyqmonRouter {
@@ -86,11 +89,11 @@ class NyqmonRouter {
   /// Bind, listen, and spawn the front event loop. Backend connections
   /// open lazily on first use.
   void start();
-  void stop();
-  bool running() const { return front_ != nullptr && front_->running(); }
+  void stop() { front_.stop(); }
+  bool running() const { return front_.running(); }
 
   /// The bound front port (valid after start()).
-  std::uint16_t port() const { return front_->port(); }
+  std::uint16_t port() const { return front_.port(); }
 
   const HashRing& ring() const { return cluster_.ring(); }
   ClusterClient& cluster() { return cluster_; }
@@ -98,8 +101,8 @@ class NyqmonRouter {
   RouterStats stats() const;
 
  private:
-  std::optional<std::vector<std::uint8_t>> intercept(srv::Verb verb,
-                                                     sto::ByteReader& reader);
+  /// The front transport's handler: one decoded request of a known verb.
+  std::vector<std::uint8_t> handle(srv::Verb verb, sto::ByteReader& reader);
   std::vector<std::uint8_t> route_ingest(sto::ByteReader& reader);
   std::vector<std::uint8_t> scatter_query(sto::ByteReader& reader);
   std::vector<std::uint8_t> fleet_stats_json();
@@ -113,16 +116,12 @@ class NyqmonRouter {
 
   RouterConfig config_;
   ClusterClient cluster_;
-  /// Empty store backing the front NyqmondServer; the intercept hook keeps
-  /// every data verb away from it.
-  mon::StripedRetentionStore empty_store_;
-  std::unique_ptr<srv::NyqmondServer> front_;
 
-  std::atomic<std::uint64_t> frames_{0};
   std::atomic<std::uint64_t> ingests_routed_{0};
   std::atomic<std::uint64_t> queries_scattered_{0};
   std::atomic<std::uint64_t> partial_failures_{0};
   std::atomic<std::uint64_t> backend_errors_{0};
+  srv::Transport front_;  ///< last: its threads stop before the rest dies
 };
 
 }  // namespace nyqmon::clu

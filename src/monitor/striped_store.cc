@@ -76,6 +76,15 @@ void StripedRetentionStore::create_stream(const std::string& name,
   s.store.create_stream(name, collection_rate_hz, t0);
 }
 
+void StripedRetentionStore::find_or_create_stream(const std::string& name,
+                                                  double collection_rate_hz,
+                                                  double t0) {
+  Stripe& s = stripe_of(name);
+  const auto lock = lock_stripe(s.mu);
+  if (!s.store.find_meta(name).has_value())
+    s.store.create_stream(name, collection_rate_hz, t0);
+}
+
 void StripedRetentionStore::append(const std::string& name, double value) {
   Stripe& s = stripe_of(name);
   const auto lock = lock_stripe(s.mu);

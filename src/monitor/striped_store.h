@@ -30,6 +30,11 @@ class StripedRetentionStore {
   /// Thread-safe equivalents of the RetentionStore stream API.
   void create_stream(const std::string& name, double collection_rate_hz,
                      double t0 = 0.0);
+  /// create_stream() unless `name` already exists, as one step under the
+  /// stripe lock: concurrent first ingests of one new stream all succeed
+  /// (nyqmond's reactors race exactly this), and exactly one creates it.
+  void find_or_create_stream(const std::string& name,
+                             double collection_rate_hz, double t0 = 0.0);
   void append(const std::string& name, double value);
   /// Bulk ingest: one lock acquisition for the whole series.
   void append_series(const std::string& name, std::span<const double> values);

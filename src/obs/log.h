@@ -1,6 +1,7 @@
 // Bounded structured logging: leveled key=value records in per-thread
-// rings with drop accounting — trace.cc's ring design applied to the
-// warn/error paths that previously only bumped a counter.
+// rings with drop accounting — the trace recorder's PerThreadRings
+// (obs/ring.h) applied to the warn/error paths that previously only
+// bumped a counter.
 //
 // Every record carries a literal *event name* (dotted, e.g.
 // "server.slow_client_dropped" — the greppable identity, catalogued in
@@ -24,10 +25,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace nyqmon::obs {
 
@@ -62,12 +63,10 @@ class LogRecorder {
 
   /// Move every buffered record out (rings empty afterwards), merged in
   /// timestamp order. Consuming and serialized like TraceRecorder::drain.
-  std::vector<LogRecord> drain();
+  std::vector<LogRecord> drain() { return rings_.drain(); }
 
   /// Records overwritten before any drain could see them (cumulative).
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dropped() const { return rings_.dropped(); }
   /// Records ever logged (cumulative).
   std::uint64_t recorded() const {
     return recorded_.load(std::memory_order_relaxed);
@@ -79,27 +78,9 @@ class LogRecorder {
   std::string export_text();
 
  private:
-  struct Ring {
-    explicit Ring(std::size_t capacity, std::uint32_t tid)
-        : slots(capacity), tid(tid) {}
-    std::mutex mu;
-    std::vector<LogRecord> slots;
-    std::size_t head = 0;
-    std::uint64_t written = 0;
-    std::uint32_t tid;
-  };
-
-  Ring& local_ring();
-
   std::chrono::steady_clock::time_point epoch_;
-  std::size_t capacity_;
-  std::uint64_t uid_;  ///< same stale-cache defense as TraceRecorder
-  std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> recorded_{0};
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;
-  std::mutex drain_mu_;
+  PerThreadRings<LogRecord> rings_;
 };
 
 }  // namespace nyqmon::obs

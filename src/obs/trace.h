@@ -21,14 +21,12 @@
 // pointers.
 //
 // Capture is off by default; set_enabled(true) arms it (nyqmond does this
-// at startup). Disarmed spans cost one relaxed atomic load. Each ring has
-// its own mutex so a writer and a drain() from another thread never race
-// on the slots; writers almost always find their ring uncontended.
+// at startup). Disarmed spans cost one relaxed atomic load. The rings are
+// obs/ring.h's PerThreadRings, shared with the log recorder.
 //
 // drain() snapshots and clears every ring, returning events merged in
-// timestamp order. Draining is *consuming* and serialized: concurrent
-// drains queue on a dedicated mutex, so two `nyqmon_ctl trace` calls each
-// get a complete, disjoint batch instead of interleaved partial drains.
+// timestamp order. Draining is *consuming* and serialized: two
+// `nyqmon_ctl trace` calls each get a complete, disjoint batch.
 // export_chrome_json() wraps a drain in the JSON object format
 // ({"traceEvents":[...]}) that chrome://tracing and Perfetto load
 // directly; events carry their trace/span/parent ids as args and are
@@ -43,10 +41,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/ring.h"
 
 namespace nyqmon::obs {
 
@@ -118,12 +116,10 @@ class TraceRecorder {
   /// are mutually exclusive, each returning a complete disjoint batch.
   /// Safe concurrently with writers: events recorded during the drain
   /// land in the next one.
-  std::vector<TraceEvent> drain();
+  std::vector<TraceEvent> drain() { return rings_.drain(); }
 
   /// Events overwritten before any drain could see them.
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dropped() const { return rings_.dropped(); }
 
   /// drain() + Trace Event Format (JSON object form). Loads directly in
   /// chrome://tracing / Perfetto. Events are grouped into one pid per
@@ -132,30 +128,9 @@ class TraceRecorder {
   std::string export_chrome_json();
 
  private:
-  struct Ring {
-    explicit Ring(std::size_t capacity, std::uint32_t tid)
-        : slots(capacity), tid(tid) {}
-    std::mutex mu;
-    std::vector<TraceEvent> slots;
-    std::size_t head = 0;      ///< next write position
-    std::uint64_t written = 0;  ///< total events ever recorded here
-    std::uint32_t tid;
-  };
-
-  Ring& local_ring();
-
   std::atomic<bool> enabled_{false};
   std::chrono::steady_clock::time_point epoch_;
-  std::size_t capacity_;
-  /// Process-unique recorder id: the thread-local ring cache keys on this
-  /// instead of `this`, so a recorder reallocated at a dead one's address
-  /// (stack-local recorders in tests) can never hit a stale cache entry.
-  std::uint64_t uid_;
-  std::atomic<std::uint64_t> dropped_{0};
-
-  mutable std::mutex rings_mu_;
-  std::vector<std::unique_ptr<Ring>> rings_;  ///< one per writer thread
-  std::mutex drain_mu_;  ///< serializes the consuming drains
+  PerThreadRings<TraceEvent> rings_;
 };
 
 /// Splice several export_chrome_json() outputs (e.g. one per fleet node)

@@ -429,9 +429,7 @@ TEST(Fleet, FleetMetricsConcatenatesPerNodeSections) {
   EXPECT_NE(text.find("nyqmon_server_ingest_latency_ns"), std::string::npos);
 
   // Without the fleet bit the router serves its own exposition only —
-  // both as the bare legacy request and as an explicit zero flags byte
-  // (consumed bytes mean the intercept must answer inline, not fall
-  // through to the built-in handler).
+  // both as the bare legacy request and as an explicit zero flags byte.
   const std::string local = client.metrics_text(/*fleet=*/false);
   EXPECT_EQ(local.find("# == node"), std::string::npos);
   EXPECT_NE(local.find("# TYPE"), std::string::npos);
@@ -470,6 +468,20 @@ TEST(Fleet, RouterRejectsMalformedMetricsAndTracePayloads) {
   // The connection survives it all and still serves a fleet request.
   EXPECT_NE(client.metrics_text(true).find("# == node router =="),
             std::string::npos);
+}
+
+TEST(Fleet, RouterRefusesHandoffAndServesItsOwnLogs) {
+  MiniFleet fleet(2);
+  srv::NyqmonClient client("127.0.0.1", fleet.router->port());
+
+  // HANDOFF addresses a backend directly: ERR, and the connection lives.
+  EXPECT_THROW(client.handoff_export("*"), srv::ServerError);
+  EXPECT_NE(client.stats_json().find("\"router\""), std::string::npos);
+
+  // LOGS drains the router process's own rings in the nyqlog v1 form.
+  const std::string logs = client.logs_text();
+  EXPECT_EQ(logs.rfind("nyqlog v1 records=", 0), 0u) << logs;
+  EXPECT_EQ(fleet.router->stats().protocol_errors, 0u);
 }
 
 TEST(Fleet, RouterExplainAttributesScatterAndMerge) {

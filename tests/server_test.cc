@@ -1,8 +1,9 @@
 // NyqmondServer + NyqmonClient: wire round-trips, protocol edge cases
 // (truncated frames, oversized length prefixes, unknown verbs, disconnects
-// mid-exchange), 4-client concurrent ingest+query determinism, live
-// serving in front of a StreamingRuntime, and checkpointed shutdown whose
-// WAL/segments recover to the served state.
+// mid-exchange — the transport cases also against a router front),
+// 4-client concurrent ingest+query determinism, racing first ingests of
+// new streams, live serving in front of a StreamingRuntime, and
+// checkpointed shutdown whose WAL/segments recover to the served state.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,11 +15,13 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "cluster/router.h"
 #include "monitor/striped_store.h"
 #include "obs/trace.h"
 #include "query/engine.h"
@@ -63,6 +66,31 @@ void wait_closed(const srv::NyqmondServer& server, std::uint64_t at_least) {
   for (int i = 0; i < 500 && server.stats().connections_closed < at_least; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
 }
+
+/// A wire front under test: nyqmond itself, or a router over one nyqmond
+/// backend. Both run the same transport, so its framing robustness must
+/// hold on each.
+struct Front {
+  mon::StripedRetentionStore store;
+  srv::NyqmondServer node{store, nullptr};
+  std::unique_ptr<clu::NyqmonRouter> router;
+
+  explicit Front(bool routed) {
+    node.start();
+    if (!routed) return;
+    clu::RouterConfig cfg;
+    cfg.cluster.nodes.push_back({"node0", "127.0.0.1", node.port()});
+    router = std::make_unique<clu::NyqmonRouter>(cfg);
+    router->start();
+  }
+
+  const char* name() const { return router ? "router" : "nyqmond"; }
+  std::uint16_t port() const { return router ? router->port() : node.port(); }
+  std::uint64_t protocol_errors() const {
+    return router ? router->stats().protocol_errors
+                  : node.stats().protocol_errors;
+  }
+};
 
 // ------------------------------------------------------------ round trips --
 
@@ -157,41 +185,44 @@ TEST(Server, TruncatedFrameThenDisconnectIsHarmless) {
 }
 
 TEST(Server, OversizedLengthPrefixAnswersErrorAndCloses) {
-  mon::StripedRetentionStore store;
-  srv::NyqmondServer server(store, nullptr);
-  server.start();
-  srv::NyqmonClient bad("127.0.0.1", server.port());
-  std::vector<std::uint8_t> bytes;
-  sto::put_u32(bytes, 0x7fffffffu);  // way past the frame cap
-  bad.send_raw(bytes);
+  for (const bool routed : {false, true}) {
+    Front front(routed);
+    SCOPED_TRACE(front.name());
+    srv::NyqmonClient bad("127.0.0.1", front.port());
+    std::vector<std::uint8_t> bytes;
+    sto::put_u32(bytes, 0x7fffffffu);  // way past the frame cap
+    bad.send_raw(bytes);
 
-  // The server answers ERR, then closes this connection.
-  std::vector<std::uint8_t> body;
-  ASSERT_NO_THROW(body = bad.request_raw(0, {}));  // reads the pending ERR
-  ASSERT_FALSE(body.empty());
-  EXPECT_EQ(body[0], static_cast<std::uint8_t>(srv::Status::kError));
-  wait_closed(server, 1);
-  EXPECT_GE(server.stats().protocol_errors, 1u);
+    // The front answers ERR, then closes this connection.
+    std::vector<std::uint8_t> body;
+    ASSERT_NO_THROW(body = bad.request_raw(0, {}));  // reads the pending ERR
+    ASSERT_FALSE(body.empty());
+    EXPECT_EQ(body[0], static_cast<std::uint8_t>(srv::Status::kError));
+    if (!routed) wait_closed(front.node, 1);
+    EXPECT_THROW(
+        bad.request_raw(static_cast<std::uint8_t>(srv::Verb::kStats), {}),
+        std::runtime_error);
+    EXPECT_GE(front.protocol_errors(), 1u);
 
-  srv::NyqmonClient client("127.0.0.1", server.port());
-  EXPECT_NE(client.stats_json().find("\"streams\""), std::string::npos);
-  server.stop();
+    srv::NyqmonClient client("127.0.0.1", front.port());
+    EXPECT_NE(client.stats_json().find("\"streams\""), std::string::npos);
+  }
 }
 
 TEST(Server, UnknownVerbKeepsConnectionUsable) {
-  mon::StripedRetentionStore store;
-  srv::NyqmondServer server(store, nullptr);
-  server.start();
-  srv::NyqmonClient client("127.0.0.1", server.port());
+  for (const bool routed : {false, true}) {
+    Front front(routed);
+    SCOPED_TRACE(front.name());
+    srv::NyqmonClient client("127.0.0.1", front.port());
 
-  const auto body = client.request_raw(0x7e, {});
-  ASSERT_FALSE(body.empty());
-  EXPECT_EQ(body[0], static_cast<std::uint8_t>(srv::Status::kError));
+    const auto body = client.request_raw(0x7e, {});
+    ASSERT_FALSE(body.empty());
+    EXPECT_EQ(body[0], static_cast<std::uint8_t>(srv::Status::kError));
 
-  // Same connection still works for a real command.
-  EXPECT_NE(client.stats_json().find("\"streams\""), std::string::npos);
-  EXPECT_GE(server.stats().protocol_errors, 1u);
-  server.stop();
+    // Same connection still works for a real command.
+    EXPECT_NE(client.stats_json().find("\"streams\""), std::string::npos);
+    EXPECT_GE(front.protocol_errors(), 1u);
+  }
 }
 
 TEST(Server, MalformedPayloadAnswersError) {
@@ -1003,6 +1034,57 @@ TEST(Server, MultiReactorConcurrentClientsAreDeterministic) {
   const auto direct = local.run(spec);
   EXPECT_TRUE(same_values(direct.result->series[0].series.span(),
                           reply_a.series[0].series.span()));
+  server.stop();
+}
+
+// Two reactors receiving the first INGEST of the same new stream at once
+// must both create-or-append: every batch is acknowledged OK and counted,
+// none is refused as "stream already exists".
+TEST(Server, RacingFirstIngestsOfNewStreamsAllSucceed) {
+  mon::StripedRetentionStore store;
+  srv::ServerConfig server_cfg;
+  server_cfg.reactors = 2;
+  srv::NyqmondServer server(store, nullptr, server_cfg);
+  server.start();
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kStreams = 256;
+  std::vector<std::unique_ptr<srv::NyqmonClient>> clients;
+  for (std::size_t c = 0; c < kClients; ++c)
+    clients.push_back(
+        std::make_unique<srv::NyqmonClient>("127.0.0.1", server.port()));
+
+  // Every client walks the same fresh streams in the same order, released
+  // together, so first INGESTs of one stream reach both reactors close
+  // together. Client c sends batches of c + 1 samples.
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::size_t> refused{0};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      const auto values = wave(c + 1, static_cast<double>(c));
+      ++ready;
+      while (ready.load() < kClients) std::this_thread::yield();
+      for (std::size_t s = 0; s < kStreams; ++s) {
+        try {
+          clients[c]->ingest("fresh/" + std::to_string(s), 1.0, 0.0, values);
+        } catch (const std::exception&) {
+          ++refused;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(refused.load(), 0u);
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+  constexpr std::size_t kPerStream = kClients * (kClients + 1) / 2;
+  ASSERT_EQ(store.streams(), kStreams);
+  for (std::size_t s = 0; s < kStreams; ++s)
+    EXPECT_EQ(store.meta("fresh/" + std::to_string(s)).ingested_samples,
+              kPerStream)
+        << s;
+  EXPECT_EQ(server.stats().samples_ingested, kStreams * kPerStream);
   server.stop();
 }
 
