@@ -23,36 +23,79 @@ sig::RegularSeries reconstruct_range(double collection_rate_hz,
                      : 0;
   if (n == 0) return sig::RegularSeries(t_begin, dt, {});
 
+  // Grid point i sits at t_at(i); the expression is monotone in i, so the
+  // points a chunk's window holds form one contiguous index span.
+  const auto t_at = [&](std::size_t i) {
+    return t_begin + static_cast<double>(i) * dt;
+  };
+  // First grid index whose time is >= bound (n if none): an arithmetic
+  // estimate, then corrected with the exact comparison, so the span below
+  // is precisely the set of points the window predicate admits.
+  const auto first_at_or_after = [&](double bound) {
+    const double est = std::ceil((bound - t_begin) / dt);
+    std::size_t i = n;
+    if (!(est > 0.0))
+      i = 0;  // also NaN
+    else if (est < static_cast<double>(n))
+      i = static_cast<std::size_t>(est);
+    while (i > 0 && t_at(i - 1) >= bound) --i;
+    while (i < n && t_at(i) < bound) ++i;
+    return i;
+  };
+
   // Assemble the query grid and fill it chunk by chunk; each sealed chunk
   // is reconstructed onto the collection grid by band-limited resampling,
-  // the hot tail is already on it.
+  // the hot tail is already on it. A chunk writes the grid points in its
+  // window [c_t0 - 1e-9, c_end - 1e-9); later chunks overwrite earlier
+  // ones. Returns false when the window holds no grid point.
   std::vector<double> grid(n, 0.0);
   std::vector<bool> filled(n, false);
-
-  auto fill_from = [&](double c_t0, double c_dt,
-                       std::span<const double> values) {
-    if (values.empty()) return;
+  const auto fill_from = [&](double c_t0, double c_dt,
+                             std::span<const double> values) {
+    if (values.empty()) return false;
     const double c_end = c_t0 + c_dt * static_cast<double>(values.size());
+    const std::size_t lo = first_at_or_after(c_t0 - 1e-9);
+    const std::size_t hi = first_at_or_after(c_end - 1e-9);
+    if (lo >= hi) return false;
     // Dense representation of this chunk on the collection grid.
     const auto dense_n = static_cast<std::size_t>(std::max(
         2.0, std::round((c_end - c_t0) / dt)));
-    std::vector<double> dense =
-        values.size() == dense_n
-            ? std::vector<double>(values.begin(), values.end())
-            : dsp::resample_fourier(values, dense_n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t = t_begin + static_cast<double>(i) * dt;
-      if (t < c_t0 - 1e-9 || t >= c_end - 1e-9) continue;
+    std::vector<double> resampled;
+    std::span<const double> dense = values;
+    if (values.size() != dense_n) {
+      resampled = dsp::resample_fourier(values, dense_n);
+      dense = resampled;
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
       const auto j = static_cast<std::size_t>(
           std::min(static_cast<double>(dense.size() - 1),
-                   std::max(0.0, std::round((t - c_t0) / dt))));
+                   std::max(0.0, std::round((t_at(i) - c_t0) / dt))));
       grid[i] = dense[j];
       filled[i] = true;
     }
+    return true;
   };
 
-  for (const auto& chunk : chunks)
-    fill_from(chunk->t0, chunk->dt, chunk->values);
+  // Only the sealed chunks whose window can hold a grid point are read.
+  // Chunk starts and ends never decrease along the vector (the invariant
+  // RetentionStore keeps and restore_stream enforces), so every grid point
+  // of a chunk before the last one starting at or before the first grid
+  // point also lies in that chunk's window and is overwritten by it: the
+  // read starts there (binary search) and stops at the first chunk that
+  // starts past the last grid point.
+  const double t_first = t_at(0);
+  const double t_last = t_at(n - 1);
+  auto it = chunks.begin();
+  if (!chunks.empty())
+    it = std::upper_bound(chunks.begin() + 1, chunks.end(), t_first,
+                          [](double t, const SealedChunkRef& c) {
+                            return t < c->t0;
+                          }) -
+         1;
+  std::size_t resampled_chunks = 0;
+  for (; it != chunks.end() && !(t_last < (*it)->t0 - 1e-9); ++it)
+    if (fill_from((*it)->t0, (*it)->dt, (*it)->values)) ++resampled_chunks;
+  NYQMON_OBS_COUNT("nyqmon_store_chunks_resampled_total", resampled_chunks);
   fill_from(hot_t0, dt, hot);
 
   // Holes (queries beyond stored data) hold the nearest filled value.

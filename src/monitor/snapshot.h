@@ -53,6 +53,12 @@ using SealedChunkRef = std::shared_ptr<const SealedChunk>;
 /// construction. Semantics match RetentionStore::query (clamped empty
 /// ranges, hole-filling with the nearest value, nearest-value hold for
 /// fully disjoint ranges).
+///
+/// Cost is O(log chunks + overlapping chunks + range points): `chunks`
+/// must be time-ordered with non-decreasing starts and ends (see
+/// restore_defect in monitor/store.h), so a binary search finds the first
+/// chunk the range overlaps and only the chunks holding a grid point are
+/// resampled, each writing just its own index span of the grid.
 sig::RegularSeries reconstruct_range(double collection_rate_hz,
                                      std::span<const SealedChunkRef> chunks,
                                      std::span<const double> hot,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "dsp/resample.h"
 #include "obs/metrics.h"
@@ -17,7 +18,10 @@ RetentionStore::RetentionStore(StoreConfig config) : config_(config) {
 
 void RetentionStore::create_stream(const std::string& name,
                                    double collection_rate_hz, double t0) {
-  NYQMON_CHECK(collection_rate_hz > 0.0);
+  // A finite grid is what restore_defect will demand of this stream's
+  // flushed image, so a stream that could not be recovered is never made.
+  NYQMON_CHECK(collection_rate_hz > 0.0 && std::isfinite(collection_rate_hz));
+  NYQMON_CHECK(std::isfinite(t0));
   NYQMON_CHECK_MSG(streams_.find(name) == streams_.end(),
                    "stream already exists: " + name);
   if (sink_ != nullptr) sink_->on_create_stream(name, collection_rate_hz, t0);
@@ -156,13 +160,16 @@ std::optional<StreamMeta> RetentionStore::find_meta(
   return make_meta(s.collection_rate_hz, s.t0, s.ingested, s.generation);
 }
 
-std::vector<std::pair<std::string, StreamMeta>> RetentionStore::list_meta()
-    const {
+std::vector<std::pair<std::string, StreamMeta>> RetentionStore::list_meta(
+    std::string_view prefix) const {
   std::vector<std::pair<std::string, StreamMeta>> out;
-  out.reserve(streams_.size());
-  for (const auto& [name, s] : streams_)
-    out.emplace_back(
-        name, make_meta(s.collection_rate_hz, s.t0, s.ingested, s.generation));
+  if (prefix.empty()) out.reserve(streams_.size());
+  for (auto it = streams_.lower_bound(prefix);
+       it != streams_.end() && it->first.starts_with(prefix); ++it) {
+    const Stream& s = it->second;
+    out.emplace_back(it->first, make_meta(s.collection_rate_hz, s.t0,
+                                          s.ingested, s.generation));
+  }
   return out;
 }
 
@@ -222,10 +229,64 @@ StreamSnapshot RetentionStore::snapshot_stream(const std::string& name,
                          s.stats, skip_chunks);
 }
 
+namespace {
+
+/// Why `chunk` cannot follow `prev` (nullptr for a stream's first chunk)
+/// among a stream's sealed chunks (see restore_defect), or nullptr.
+const char* chunk_defect(const ChunkSnapshot& chunk,
+                         const ChunkSnapshot* prev) {
+  if (chunk.values.empty()) return "empty chunk";
+  const double end =
+      chunk.t0 + chunk.dt * static_cast<double>(chunk.values.size());
+  if (!std::isfinite(chunk.t0) || !std::isfinite(chunk.dt) ||
+      !std::isfinite(end))
+    return "non-finite chunk grid";
+  if (!(chunk.dt > 0.0)) return "chunk dt <= 0";
+  if (prev == nullptr) return nullptr;
+  const double prev_end =
+      prev->t0 + prev->dt * static_cast<double>(prev->values.size());
+  // The seal path's own rounding can leave a chunk's end a few ulps past
+  // its successor's start; anything beyond that is an overlap.
+  const double tolerance = std::max(
+      1e-9, 4.0 * std::numeric_limits<double>::epsilon() * std::abs(prev_end));
+  if (chunk.t0 < prev->t0 || end < prev_end ||
+      chunk.t0 < prev_end - tolerance)
+    return "chunk out of order or overlapping its predecessor";
+  return nullptr;
+}
+
+}  // namespace
+
+std::size_t drop_defective_chunks(std::vector<ChunkSnapshot>& chunks) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    if (chunk_defect(chunks[i], kept == 0 ? nullptr : &chunks[kept - 1]))
+      continue;
+    if (kept != i) chunks[kept] = std::move(chunks[i]);
+    ++kept;
+  }
+  const std::size_t dropped = chunks.size() - kept;
+  chunks.resize(kept);
+  return dropped;
+}
+
+std::string restore_defect(const StreamSnapshot& snapshot) {
+  if (!(snapshot.collection_rate_hz > 0.0) ||
+      !std::isfinite(snapshot.collection_rate_hz))
+    return "collection rate must be finite and > 0";
+  if (!std::isfinite(snapshot.t0) || !std::isfinite(snapshot.hot_t0))
+    return "non-finite stream origin";
+  if (snapshot.chunks_before != 0) return "restore needs a full snapshot";
+  for (std::size_t i = 0; i < snapshot.chunks.size(); ++i)
+    if (const char* defect = chunk_defect(
+            snapshot.chunks[i], i == 0 ? nullptr : &snapshot.chunks[i - 1]))
+      return "chunk " + std::to_string(i) + ": " + defect;
+  return {};
+}
+
 void RetentionStore::restore_stream(StreamSnapshot snapshot) {
-  NYQMON_CHECK(snapshot.collection_rate_hz > 0.0);
-  NYQMON_CHECK_MSG(snapshot.chunks_before == 0,
-                   "restore needs a full snapshot: " + snapshot.name);
+  const std::string defect = restore_defect(snapshot);
+  NYQMON_CHECK_MSG(defect.empty(), snapshot.name + ": " + defect);
   NYQMON_CHECK_MSG(streams_.find(snapshot.name) == streams_.end(),
                    "stream already exists: " + snapshot.name);
   Stream s;

@@ -16,11 +16,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -149,6 +151,21 @@ struct StreamSnapshot {
   StreamStats stats;
 };
 
+/// Remove the chunks restore_defect would refuse, each judged against the
+/// last chunk kept; returns how many were removed (recovery's
+/// skip-and-count for chunks decoded from a damaged segment).
+std::size_t drop_defective_chunks(std::vector<ChunkSnapshot>& chunks);
+
+/// Why restore_stream would refuse `snapshot` (a name already in the store
+/// aside), or empty when it would restore it: a finite grid and origin,
+/// a full (chunks_before == 0) snapshot, and sealed chunks in the order
+/// reconstruct_range's binary search relies on and the seal path keeps —
+/// each chunk holds at least one value on a finite grid with dt > 0, and
+/// its window starts and ends no earlier than its predecessor's and
+/// overlaps it by at most the grid tolerance (1e-9 s, widened to a few
+/// ulps of the predecessor's end at large magnitudes).
+std::string restore_defect(const StreamSnapshot& snapshot);
+
 /// One stream's captured read state inside a ReadSnapshot: sealed chunks
 /// by reference (shared with the store — immutable once sealed), the hot
 /// tail by copy (it mutates under the writer), and the metadata needed to
@@ -266,7 +283,8 @@ class RetentionStore {
   explicit RetentionStore(StoreConfig config = {});
 
   /// Create a stream ingesting at `collection_rate_hz` starting at t0.
-  /// Stream names must be unique.
+  /// Stream names must be unique; the rate must be finite and > 0 and t0
+  /// finite.
   void create_stream(const std::string& name, double collection_rate_hz,
                      double t0 = 0.0);
 
@@ -296,10 +314,14 @@ class RetentionStore {
   /// the serving layer's exact-selector fast path.
   std::optional<StreamMeta> find_meta(const std::string& name) const;
 
-  /// Metadata for every stream, in lexicographic name order. Cheap (no
-  /// reconstruction): the serving layer calls this per query to match
-  /// selectors and prune streams outside the requested time range.
-  std::vector<std::pair<std::string, StreamMeta>> list_meta() const;
+  /// Metadata for every stream whose name starts with `prefix` (all of
+  /// them for an empty prefix), in lexicographic name order. Cheap (no
+  /// reconstruction) and O(log streams + matches): the name map is
+  /// entered at lower_bound(prefix) and walked only over the prefix's key
+  /// range. The serving layer calls this per query with a glob's literal
+  /// prefix to match selectors and prune streams outside the time range.
+  std::vector<std::pair<std::string, StreamMeta>> list_meta(
+      std::string_view prefix = {}) const;
 
   /// Names of all streams, in lexicographic order.
   std::vector<std::string> stream_names() const;
@@ -328,7 +350,9 @@ class RetentionStore {
   /// Recreate a stream from a full snapshot (chunks_before must be 0 and
   /// the name unused). Queries against the restored stream are
   /// bit-identical to the store the snapshot was taken from, and its
-  /// generation counter continues monotonically.
+  /// generation counter continues monotonically. A snapshot restore_defect
+  /// refuses (a bad grid, or chunks empty or out of time order) throws
+  /// std::invalid_argument and leaves the store unchanged.
   void restore_stream(StreamSnapshot snapshot);
 
   // ---- snapshot-isolated reads ----
@@ -379,7 +403,8 @@ class RetentionStore {
   StreamView make_view(const std::string& name, const Stream& s) const;
 
   StoreConfig config_;
-  std::map<std::string, Stream> streams_;
+  /// Transparent comparator: list_meta seeks with a string_view prefix.
+  std::map<std::string, Stream, std::less<>> streams_;
   IngestSink* sink_ = nullptr;
   std::shared_ptr<EpochRegistry> epochs_ = std::make_shared<EpochRegistry>();
 };

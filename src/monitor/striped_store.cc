@@ -12,8 +12,7 @@ namespace nyqmon::mon {
 
 namespace {
 
-/// Every stripe acquisition funnels through here so lock contention —
-/// ROADMAP item 1's prime suspect for the flat worker scaling — is
+/// Every stripe acquisition funnels through here so lock contention is
 /// measurable without a profiler. The uncontended fast path is a try_lock
 /// plus one counter bump; only a blocked acquisition pays for timestamps.
 /// All three instruments register together on first use, so the exposition
@@ -132,7 +131,7 @@ std::optional<StreamMeta> StripedRetentionStore::find_meta(
 }
 
 std::vector<std::pair<std::string, StreamMeta>>
-StripedRetentionStore::list_meta() const {
+StripedRetentionStore::list_meta(std::string_view prefix) const {
   // Each stripe's map yields its entries already name-sorted, so the
   // concatenation is a list of sorted runs: cascade inplace_merge over the
   // run boundaries (O(S log stripes)) instead of re-sorting from scratch —
@@ -141,7 +140,7 @@ StripedRetentionStore::list_meta() const {
   std::vector<std::size_t> bounds{0};
   for (const auto& stripe : stripes_) {
     const auto lock = lock_stripe(stripe->mu);
-    auto part = stripe->store.list_meta();
+    auto part = stripe->store.list_meta(prefix);
     all.insert(all.end(), std::make_move_iterator(part.begin()),
                std::make_move_iterator(part.end()));
     bounds.push_back(all.size());

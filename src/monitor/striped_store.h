@@ -15,6 +15,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,11 +50,16 @@ class StripedRetentionStore {
   /// meta() that reports an unknown name as nullopt instead of throwing.
   std::optional<StreamMeta> find_meta(const std::string& name) const;
 
-  /// Metadata for every stream across stripes, lexicographically sorted by
-  /// name. The serving layer's selector match + prune pass; cheap relative
-  /// to reconstruction, but it does take every stripe lock in turn, so the
-  /// snapshot is per-stripe (not globally) atomic under concurrent ingest.
-  std::vector<std::pair<std::string, StreamMeta>> list_meta() const;
+  /// Metadata for every stream whose name starts with `prefix` (every
+  /// stream for an empty prefix) across stripes, lexicographically sorted
+  /// by name. The serving layer's selector match + prune pass, called with
+  /// a glob's literal prefix (qry::glob_prefix). Stripes hash names, so
+  /// every stripe lock is taken in turn, but each stripe only seeks its
+  /// name map to the prefix and walks that key range before the per-stripe
+  /// runs are merged: O(stripes * log streams + matches). The result is
+  /// per-stripe (not globally) atomic under concurrent ingest.
+  std::vector<std::pair<std::string, StreamMeta>> list_meta(
+      std::string_view prefix = {}) const;
 
   /// All stream names across stripes, lexicographically sorted.
   std::vector<std::string> stream_names() const;

@@ -55,6 +55,23 @@ std::uint64_t ns_since(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
+std::vector<std::pair<std::string, mon::StreamMeta>> match_selector(
+    const mon::StripedRetentionStore& store, const std::string& selector,
+    std::size_t* considered) {
+  std::vector<std::pair<std::string, mon::StreamMeta>> matched;
+  if (is_exact(selector)) {
+    if (considered != nullptr) *considered = 1;
+    if (const auto m = store.find_meta(selector))
+      matched.emplace_back(selector, *m);
+    return matched;
+  }
+  auto meta = store.list_meta(glob_prefix(selector));
+  if (considered != nullptr) *considered = meta.size();
+  for (auto& [name, m] : meta)
+    if (match_glob(selector, name)) matched.emplace_back(std::move(name), m);
+  return matched;
+}
+
 QueryEngine::QueryEngine(const mon::StripedRetentionStore& store,
                          QueryEngineConfig config)
     : store_(store),
@@ -74,23 +91,11 @@ QueryResponse QueryEngine::run(const QuerySpec& spec) {
   StageClock clock(resp.stages);
 
   // Metadata pass: selector match + invalidation fingerprint, no
-  // reconstruction. A wildcard-free selector names at most one stream, so
-  // it skips the fleet-wide scan and hits its stripe directly; globs walk
-  // list_meta(), which is lexicographically sorted, so the matched order
-  // (and with it every downstream reduction) is stable either way.
-  std::vector<std::pair<std::string, mon::StreamMeta>> matched_meta;
+  // reconstruction. match_selector's result is lexicographically sorted,
+  // so the matched order (and with it every downstream reduction) is
+  // stable whichever path it took.
   std::size_t considered = 0;
-  if (is_exact(spec.selector)) {
-    considered = 1;
-    if (const auto m = store_.find_meta(spec.selector))
-      matched_meta.emplace_back(spec.selector, *m);
-  } else {
-    auto meta = store_.list_meta();
-    considered = meta.size();
-    for (auto& [name, m] : meta)
-      if (match_glob(spec.selector, name))
-        matched_meta.emplace_back(std::move(name), m);
-  }
+  const auto matched_meta = match_selector(store_, spec.selector, &considered);
   Fnv1a fp;
   for (const auto& [name, m] : matched_meta)
     fp.mix(fnv1a(name)).mix(m.generation);

@@ -44,8 +44,10 @@ struct QueryEngineConfig {
 struct QueryEngineStats {
   std::uint64_t queries = 0;
   /// Selector/prune accounting, summed over executed (non-cache-hit)
-  /// queries: how many streams the metadata pass considered, how many
-  /// matched the selector, and how many of those were range-pruned vs
+  /// queries: how many streams the metadata pass considered (1 for an
+  /// exact selector, else the size of the glob's literal-prefix key range
+  /// — the whole store only for a glob that starts with a wildcard), how
+  /// many matched the selector, and how many of those were range-pruned vs
   /// actually reconstructed (matched == pruned + reconstructed).
   std::uint64_t streams_considered = 0;
   std::uint64_t streams_matched = 0;
@@ -53,6 +55,16 @@ struct QueryEngineStats {
   std::uint64_t streams_reconstructed = 0;
   CacheStats cache;
 };
+
+/// Streams `selector` names, with their metadata, in lexicographic name
+/// order: a wildcard-free selector is one direct lookup, a glob walks only
+/// the store's key range for its literal prefix (glob_prefix) and matches
+/// within it. The one selector match behind QueryEngine::run and HANDOFF
+/// export. `considered`, when given, receives how many streams the match
+/// looked at (1 for an exact selector).
+std::vector<std::pair<std::string, mon::StreamMeta>> match_selector(
+    const mon::StripedRetentionStore& store, const std::string& selector,
+    std::size_t* considered = nullptr);
 
 class QueryEngine {
  public:

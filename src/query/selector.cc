@@ -26,6 +26,10 @@ bool match_glob(std::string_view pattern, std::string_view text) {
   return p == pattern.size();
 }
 
+std::string_view glob_prefix(std::string_view pattern) {
+  return pattern.substr(0, pattern.find_first_of("*?"));
+}
+
 bool is_exact(std::string_view pattern) {
   return pattern.find_first_of("*?") == std::string_view::npos;
 }

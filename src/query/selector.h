@@ -17,6 +17,12 @@ namespace nyqmon::qry {
 /// in practice, no recursion, no regex engine.
 bool match_glob(std::string_view pattern, std::string_view text);
 
+/// The literal prefix of `pattern`: every character before its first `*`
+/// or `?` (the whole pattern when it has none). Every name the pattern
+/// matches starts with it, so a name-ordered store need only walk that
+/// prefix's key range; an empty prefix means the whole store.
+std::string_view glob_prefix(std::string_view pattern);
+
 /// True when the pattern contains no wildcards (matches at most one
 /// stream); the query engine's fast path addresses that stream directly
 /// instead of scanning fleet metadata.

@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "query/selector.h"
 #include "storage/segment.h"
 
 namespace nyqmon::srv {
@@ -158,12 +157,8 @@ std::vector<std::uint8_t> NyqmondServer::handle_handoff(
     if (!reader.ok() || reader.remaining() != 0 || selector.empty())
       return error_frame("malformed HANDOFF payload");
     std::vector<std::string> names;
-    if (qry::is_exact(selector)) {
-      if (store_.find_meta(selector).has_value()) names.push_back(selector);
-    } else {
-      for (auto& name : store_.stream_names())
-        if (qry::match_glob(selector, name)) names.push_back(std::move(name));
-    }
+    for (auto& [name, meta] : qry::match_selector(store_, selector))
+      names.push_back(std::move(name));
     // Non-destructive: the exporter keeps serving its copy until the
     // operator retires it; mid-handoff duplicates are deduped at query
     // merge time (query/merge.h). One snapshot acquisition covers every
@@ -189,11 +184,16 @@ std::vector<std::uint8_t> NyqmondServer::handle_handoff(
     sto::read_segment_bytes(segment, streams);  // throws -> ERR via dispatch
     // Refuse before restoring anything: an import must not silently merge
     // into streams this node already owns (that would double-count on a
-    // repeated handoff). The detail block names every conflict.
+    // repeated handoff), nor carry a stream restore_stream would refuse
+    // (empty, non-finite or out-of-order chunks). The detail block names
+    // every conflict.
     std::vector<ErrorDetail> conflicts;
-    for (const auto& [name, snap] : streams)
+    for (const auto& [name, snap] : streams) {
       if (store_.find_meta(name).has_value())
         conflicts.push_back({name, "stream already exists"});
+      else if (std::string defect = mon::restore_defect(snap); !defect.empty())
+        conflicts.push_back({name, std::move(defect)});
+    }
     if (!conflicts.empty())
       return error_frame_with_detail("handoff import refused", conflicts);
     HandoffImportReply reply;

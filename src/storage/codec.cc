@@ -152,8 +152,14 @@ std::size_t xor_encoded_size(std::span<const double> values) {
 std::vector<double> xor_decode(std::span<const std::uint8_t> bytes,
                                std::size_t count) {
   std::vector<double> out;
-  out.reserve(count);
   if (count == 0) return out;
+  // `count` comes off the wire or disk: the first value costs 64 bits and
+  // every later one at least 1, so a count the payload cannot hold is
+  // refused before it sizes an allocation.
+  const std::size_t bits = bytes.size() * 8;
+  if (bits < 64 || count - 1 > bits - 64)
+    throw std::runtime_error("xor_decode: count exceeds the payload");
+  out.reserve(count);
   BitReader r(bytes);
   std::uint64_t prev = r.get(64);
   out.push_back(std::bit_cast<double>(prev));

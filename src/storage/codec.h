@@ -37,7 +37,9 @@ std::size_t xor_encoded_size(std::span<const double> values);
 
 /// Decode exactly `count` doubles. Throws std::runtime_error if the stream
 /// is too short (possible only for corrupt-but-CRC-colliding blocks; the
-/// segment reader treats that like a CRC failure).
+/// segment reader treats that like a CRC failure), checked up front when
+/// `count` exceeds what `bytes` can encode (64 bits for the first value,
+/// at least 1 per later one), so a hostile count never sizes an allocation.
 std::vector<double> xor_decode(std::span<const std::uint8_t> bytes,
                                std::size_t count);
 

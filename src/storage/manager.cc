@@ -386,6 +386,10 @@ RecoveryStats StorageManager::recover_impl(Store& store) {
   for (auto& [name, snap] : streams) {
     if (snap.chunks.size() < snap.stats.chunks)
       out.chunks_missing += snap.stats.chunks - snap.chunks.size();
+    // Chunks that decoded but break the time-ordered invariant the read
+    // path relies on (empty, non-finite, out of order) are skipped and
+    // counted like chunk blocks lost to corruption.
+    out.chunks_missing += mon::drop_defective_chunks(snap.chunks);
     out.chunks += snap.chunks.size();
     flushed_chunks_[name] = snap.chunks.size();
     store.restore_stream(std::move(snap));

@@ -5,16 +5,21 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "dsp/resample.h"
 #include "monitor/rate_prior.h"
 #include "monitor/store.h"
 #include "monitor/striped_store.h"
+#include "obs/metrics.h"
 #include "reconstruct/error.h"
 #include "signal/generators.h"
 #include "signal/source.h"
+#include "storage/segment.h"
 #include "util/rng.h"
 
 namespace {
@@ -38,6 +43,10 @@ TEST(Store, DuplicateStreamThrows) {
   RetentionStore store;
   store.create_stream("s", 1.0);
   EXPECT_THROW(store.create_stream("s", 1.0), std::invalid_argument);
+  // A grid recovery could not restore is refused up front.
+  EXPECT_THROW(store.create_stream("inf", HUGE_VAL), std::invalid_argument);
+  EXPECT_THROW(store.create_stream("nan", 1.0, NAN), std::invalid_argument);
+  EXPECT_EQ(store.streams(), 1u);
 }
 
 TEST(Store, EmptyStreamReductionIsOne) {
@@ -282,6 +291,256 @@ TEST(StripedStore, MetaAndListMetaAcrossStripes) {
 
   // The striped read path shares the clamped empty-range convention.
   EXPECT_EQ(store.query("a/x", 7.0, 7.0).size(), 0u);
+}
+
+TEST(StripedStore, ListMetaWalksOnlyThePrefixRange) {
+  mon::StripedRetentionStore store({}, 8);
+  for (const char* name : {"dev1/a", "dev1/b", "dev10/a", "dev2/a", "dev",
+                           "de/x", "dev1"})
+    store.create_stream(name, 1.0);
+  const auto names = [&](std::string_view prefix) {
+    std::vector<std::string> out;
+    for (const auto& [name, m] : store.list_meta(prefix)) out.push_back(name);
+    return out;
+  };
+  EXPECT_EQ(names("dev1/"), (std::vector<std::string>{"dev1/a", "dev1/b"}));
+  EXPECT_EQ(names("dev1"),
+            (std::vector<std::string>{"dev1", "dev1/a", "dev1/b", "dev10/a"}));
+  EXPECT_EQ(names("dev3"), std::vector<std::string>{});
+  EXPECT_EQ(names("zzz"), std::vector<std::string>{});
+  EXPECT_EQ(names("").size(), 7u);
+  EXPECT_EQ(store.list_meta().size(), 7u);
+}
+
+// ------------------------------------------- range-proportional reads ----
+
+// The reconstruction algorithm as it stood before reads became
+// range-proportional: every sealed chunk is resampled and every grid point
+// tested against every chunk. The reference the indexed walk must match
+// bit for bit.
+sig::RegularSeries full_scan_reconstruct(
+    double collection_rate_hz, std::span<const mon::SealedChunkRef> chunks,
+    std::span<const double> hot, double hot_t0, double t_begin,
+    double t_end) {
+  const double dt = 1.0 / collection_rate_hz;
+  const auto n = t_end > t_begin
+                     ? static_cast<std::size_t>(
+                           std::floor((t_end - t_begin) / dt + 0.5))
+                     : 0;
+  if (n == 0) return sig::RegularSeries(t_begin, dt, {});
+  std::vector<double> grid(n, 0.0);
+  std::vector<bool> filled(n, false);
+  auto fill_from = [&](double c_t0, double c_dt,
+                       std::span<const double> values) {
+    if (values.empty()) return;
+    const double c_end = c_t0 + c_dt * static_cast<double>(values.size());
+    const auto dense_n = static_cast<std::size_t>(std::max(
+        2.0, std::round((c_end - c_t0) / dt)));
+    std::vector<double> dense =
+        values.size() == dense_n
+            ? std::vector<double>(values.begin(), values.end())
+            : dsp::resample_fourier(values, dense_n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t = t_begin + static_cast<double>(i) * dt;
+      if (t < c_t0 - 1e-9 || t >= c_end - 1e-9) continue;
+      const auto j = static_cast<std::size_t>(
+          std::min(static_cast<double>(dense.size() - 1),
+                   std::max(0.0, std::round((t - c_t0) / dt))));
+      grid[i] = dense[j];
+      filled[i] = true;
+    }
+  };
+  for (const auto& chunk : chunks)
+    fill_from(chunk->t0, chunk->dt, chunk->values);
+  fill_from(hot_t0, dt, hot);
+  double last = 0.0;
+  bool seen = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (filled[i]) {
+      last = grid[i];
+      seen = true;
+    } else if (seen) {
+      grid[i] = last;
+    }
+  }
+  for (std::size_t i = n; i-- > 0;) {
+    if (filled[i]) {
+      last = grid[i];
+      seen = true;
+    } else if (seen) {
+      grid[i] = last;
+    }
+  }
+  if (!seen && (!hot.empty() || !chunks.empty())) {
+    const double data_t0 = chunks.empty() ? hot_t0 : chunks.front()->t0;
+    const double first =
+        chunks.empty() ? hot.front() : chunks.front()->values.front();
+    const double final_value =
+        hot.empty() ? chunks.back()->values.back() : hot.back();
+    const double t_last = t_begin + dt * static_cast<double>(n - 1);
+    std::fill(grid.begin(), grid.end(),
+              t_last < data_t0 ? first : final_value);
+  }
+  return sig::RegularSeries(t_begin, dt, std::move(grid));
+}
+
+bool bit_identical(const sig::RegularSeries& a, const sig::RegularSeries& b) {
+  const double grid_a[2] = {a.t0(), a.dt()};
+  const double grid_b[2] = {b.t0(), b.dt()};
+  return std::memcmp(grid_a, grid_b, sizeof(grid_a)) == 0 &&
+         a.size() == b.size() &&
+         (a.size() == 0 ||
+          std::memcmp(a.values().data(), b.values().data(),
+                      a.size() * sizeof(double)) == 0);
+}
+
+StoreConfig small_chunk_config() {
+  StoreConfig cfg;
+  cfg.chunk_samples = 32;
+  return cfg;
+}
+
+// Chunks alternate between a slow tone (stored Nyquist-reduced) and noise
+// (kept at the full collection rate), with an unsealed tail of 19 samples.
+void fill_mixed_stream(RetentionStore& store, const std::string& name,
+                       double rate_hz, double t0, std::size_t chunks,
+                       std::uint64_t seed) {
+  const sig::SumOfSines tone({{0.004 * rate_hz, 3.0, 0.4}}, 20.0);
+  Rng rng(seed);
+  store.create_stream(name, rate_hz, t0);
+  for (std::size_t c = 0; c <= chunks; ++c) {
+    const std::size_t n = c == chunks ? 19 : 32;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double k = static_cast<double>(c * 32 + i);
+      store.append(name, c % 3 == 1 ? rng.normal(0.0, 1.0)
+                                    : tone.value(k / rate_hz));
+    }
+  }
+}
+
+// Every range shape the walk has an edge for, over [data_t0, data_end):
+// random spans, chunk seams (exactly, and a tolerance or half a step off),
+// grids with a point within a few ulps of a chunk window's edge, the
+// sealed/hot boundary, ranges wholly before or after the data, and
+// sub-step and inverted ranges.
+std::vector<std::pair<double, double>> probe_ranges(
+    double rate_hz, double data_t0, double hot_t0, double data_end,
+    const std::vector<double>& window_edges, std::uint64_t seed) {
+  const double dt = 1.0 / rate_hz;
+  const double chunk_s = 32.0 * dt;
+  Rng rng(seed);
+  std::vector<std::pair<double, double>> out;
+  for (int i = 0; i < 300; ++i) {
+    const double a = rng.uniform(data_t0 - 40.0 * dt, data_end + 40.0 * dt);
+    out.emplace_back(a, a + rng.uniform(0.0, 200.0 * dt));
+  }
+  const std::vector<double> nudges{0.0, 1e-10, -1e-10, 2e-9, -2e-9,
+                                   0.5 * dt, -0.5 * dt, dt, 0.3 * dt};
+  for (double seam = data_t0; seam <= hot_t0 + 1e-9; seam += chunk_s) {
+    for (const double nudge : nudges) {
+      out.emplace_back(seam + nudge, seam + nudge + 64.0 * dt);
+      out.emplace_back(seam + nudge - 64.0 * dt, seam + nudge);
+      out.emplace_back(seam + nudge, seam + nudge + 0.4 * dt);  // sub-step
+      out.emplace_back(seam + nudge, seam + nudge + 0.6 * dt);
+    }
+  }
+  for (const double edge : window_edges) {
+    for (const double steps : {0.0, 5.0, 40.0}) {
+      double a = edge - steps * dt;
+      for (int i = 0; i < 3; ++i) a = std::nextafter(a, -HUGE_VAL);
+      for (int ulp = -3; ulp <= 3; ++ulp, a = std::nextafter(a, HUGE_VAL))
+        out.emplace_back(a, a + 64.0 * dt);
+    }
+  }
+  for (const double nudge : nudges) {
+    out.emplace_back(hot_t0 + nudge - 10.0 * dt, hot_t0 + nudge + 10.0 * dt);
+    out.emplace_back(hot_t0 + nudge, data_end + nudge);
+  }
+  out.emplace_back(data_t0 - 500.0 * dt, data_t0 - 100.0 * dt);  // before
+  out.emplace_back(data_t0 - 64.0 * dt, data_t0);
+  out.emplace_back(data_end + 10.0 * dt, data_end + 80.0 * dt);  // after
+  out.emplace_back(data_end, data_end + 64.0 * dt);
+  out.emplace_back(data_t0 - 10.0 * dt, data_end + 10.0 * dt);  // all of it
+  out.emplace_back(data_t0 + 100.0 * dt, data_t0 + 50.0 * dt);  // inverted
+  out.emplace_back(data_t0 + 7.0 * dt, data_t0 + 7.0 * dt);
+  return out;
+}
+
+void expect_matches_full_scan(const RetentionStore& store,
+                              const std::string& name, std::uint64_t seed) {
+  const mon::ReadSnapshot snap = store.acquire_snapshot();
+  const mon::StreamView* v = snap.find(name);
+  ASSERT_NE(v, nullptr);
+  const auto meta = store.meta(name);
+  std::vector<double> edges;
+  for (const auto& c : v->chunks) {
+    edges.push_back(c->t0 - 1e-9);
+    edges.push_back(c->t0 + c->dt * static_cast<double>(c->values.size()) -
+                    1e-9);
+  }
+  std::size_t checked = 0;
+  for (const auto& [a, b] :
+       probe_ranges(v->collection_rate_hz, meta.t0, v->hot_t0, meta.t_end,
+                    edges, seed)) {
+    const auto want = full_scan_reconstruct(v->collection_rate_hz, v->chunks,
+                                            v->hot, v->hot_t0, a, b);
+    ASSERT_TRUE(bit_identical(store.query(name, a, b), want))
+        << name << " [" << a << ", " << b << ")";
+    ASSERT_TRUE(bit_identical(snap.query(name, a, b), want))
+        << name << " [" << a << ", " << b << ")";
+    ++checked;
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST(RangeRead, MatchesFullScanReferenceBitForBit) {
+  RetentionStore store(small_chunk_config());
+  fill_mixed_stream(store, "unit", 1.0, 0.0, 40, 3);
+  fill_mixed_stream(store, "fast", 4.0, -3.3, 40, 4);
+  fill_mixed_stream(store, "slow", 1.0 / 30.0, 1000.0, 24, 5);
+  for (const char* name : {"unit", "fast", "slow"}) {
+    const auto stats = store.stats(name);
+    ASSERT_GT(stats.chunks_reduced, 0u) << name;
+    ASSERT_LT(stats.chunks_reduced, stats.chunks) << name;
+  }
+  expect_matches_full_scan(store, "unit", 11);
+  expect_matches_full_scan(store, "fast", 12);
+  expect_matches_full_scan(store, "slow", 13);
+}
+
+TEST(RangeRead, HandoffRestoredStreamMatchesFullScanReference) {
+  // The HANDOFF path: export the captured stream into a segment image,
+  // decode it as the importer does, and restore it into another store.
+  RetentionStore src(small_chunk_config());
+  fill_mixed_stream(src, "dev/m", 2.0, 50.0, 30, 8);
+  sto::SegmentWriter writer;
+  writer.add_stream(src.acquire_snapshot().export_stream("dev/m"));
+  std::map<std::string, mon::StreamSnapshot> decoded;
+  sto::read_segment_bytes(writer.bytes(), decoded);
+  RetentionStore dst(small_chunk_config());
+  dst.restore_stream(std::move(decoded.at("dev/m")));
+  expect_matches_full_scan(dst, "dev/m", 21);
+  const auto meta = src.meta("dev/m");
+  EXPECT_TRUE(bit_identical(dst.query("dev/m", meta.t0, meta.t_end),
+                            src.query("dev/m", meta.t0, meta.t_end)));
+}
+
+TEST(RangeRead, ChunksResampledPerQueryIndependentOfHistory) {
+  // A 64 s read over 16 chunks of history and over 256 chunks must expand
+  // the same (at most two) chunks: the cost follows the range.
+  obs::Counter& resampled = obs::Registry::instance().counter(
+      "nyqmon_store_chunks_resampled_total");
+  std::vector<std::uint64_t> per_query;
+  for (const std::size_t chunks : {16u, 256u}) {
+    RetentionStore store(small_chunk_config());
+    fill_mixed_stream(store, "s", 1.0, 0.0, chunks, 9);
+    const std::uint64_t before = resampled.value();
+    EXPECT_EQ(store.query("s", 320.0, 384.0).size(), 64u);
+    per_query.push_back(resampled.value() - before);
+  }
+  EXPECT_EQ(per_query[0], per_query[1]);
+  EXPECT_GE(per_query[0], 1u);
+  EXPECT_LE(per_query[0], 2u);
 }
 
 TEST(RatePriors, LearnFromAuditAndWarmStart) {

@@ -52,6 +52,15 @@ TEST(Selector, IsExact) {
   EXPECT_FALSE(qry::is_exact("pod?/x"));
 }
 
+TEST(Selector, GlobPrefixStopsAtFirstWildcard) {
+  EXPECT_EQ(qry::glob_prefix("rack3-*/temperature"), "rack3-");
+  EXPECT_EQ(qry::glob_prefix("pod?/agg1"), "pod");
+  EXPECT_EQ(qry::glob_prefix("dev7/*"), "dev7/");
+  EXPECT_EQ(qry::glob_prefix("*/drops"), "");
+  EXPECT_EQ(qry::glob_prefix("exact/name"), "exact/name");
+  EXPECT_EQ(qry::glob_prefix(""), "");
+}
+
 // ----------------------------------------------------------------- spec --
 
 TEST(Spec, ValidationAndGrid) {
@@ -438,6 +447,30 @@ TEST(QueryEngine, ExactSelectorFastPathSkipsFleetScan) {
   qry::QuerySpec missing = spec;
   missing.selector = "nope/m";
   EXPECT_TRUE(qe.run(missing).result->matched.empty());
+}
+
+TEST(QueryEngine, GlobConsidersOnlyItsLiteralPrefixRange) {
+  auto store = make_constant_store({{"a/m", 1.0},
+                                    {"a/n", 2.0},
+                                    {"ab/m", 3.0},
+                                    {"b/m", 4.0},
+                                    {"c/m", 5.0}});
+  qry::QueryEngine qe(store);
+  qry::QuerySpec spec = agg_spec(qry::Aggregation::kAvg);
+  spec.selector = "a*/m";  // prefix "a": a/m, a/n, ab/m considered
+  const auto r = qe.run(spec);
+  EXPECT_EQ(r.result->matched, (std::vector<std::string>{"a/m", "ab/m"}));
+  EXPECT_EQ(qe.stats().streams_considered, 3u);
+
+  spec.selector = "*/m";  // no literal prefix: the whole store
+  EXPECT_EQ(qe.run(spec).result->matched.size(), 4u);
+  EXPECT_EQ(qe.stats().streams_considered, 3u + 5u);
+
+  // HANDOFF export shares the match: same names, same order.
+  std::vector<std::string> names;
+  for (const auto& [name, meta] : qry::match_selector(store, "a*/m"))
+    names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a/m", "ab/m"}));
 }
 
 TEST(QueryEngine, FleetScaleSelectorPruningAndDeterminism) {

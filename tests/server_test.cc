@@ -15,6 +15,8 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,6 +32,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/manager.h"
+#include "storage/segment.h"
 #include "telemetry/fleet.h"
 
 namespace {
@@ -597,6 +600,66 @@ TEST(Server, HandoffExportImportRoundTrip) {
   dst.stop();
 }
 
+TEST(Server, HandoffImportRefusesDefectiveChunksAndRestoresNothing) {
+  // Decodable (CRC-clean) segment images whose chunks break the invariant
+  // the read path's binary search relies on. Each image also carries a
+  // healthy stream, which must not be restored either: the import
+  // validates every stream before restoring any.
+  const auto image = [](const std::function<void(mon::StreamSnapshot&)>&
+                            shape) {
+    mon::StreamSnapshot good;
+    good.name = "good/x";
+    good.collection_rate_hz = 1.0;
+    good.hot_t0 = 8.0;
+    good.chunks = {{0.0, 1.0, {1.0, 2.0, 3.0, 4.0}},
+                   {4.0, 1.0, {5.0, 6.0, 7.0, 8.0}}};
+    good.stats.ingested_samples = 8;
+    good.stats.chunks = 2;
+    mon::StreamSnapshot bad = good;
+    bad.name = "bad/x";
+    shape(bad);
+    sto::SegmentWriter writer;
+    writer.add_stream(bad);
+    writer.add_stream(good);
+    return writer.bytes();
+  };
+  const std::vector<std::pair<const char*,
+                              std::function<void(mon::StreamSnapshot&)>>>
+      shapes{
+          {"empty chunk", [](auto& s) { s.chunks[0].values.clear(); }},
+          {"non-finite t0",
+           [](auto& s) {
+             s.chunks[1].t0 = std::numeric_limits<double>::infinity();
+           }},
+          {"dt <= 0", [](auto& s) { s.chunks[1].dt = 0.0; }},
+          {"out of order",
+           [](auto& s) { std::swap(s.chunks[0], s.chunks[1]); }},
+          {"overlap", [](auto& s) { s.chunks[1].t0 = 3.5; }},
+      };
+
+  mon::StripedRetentionStore store;
+  srv::NyqmondServer server(store, nullptr);
+  server.start();
+  srv::NyqmonClient client("127.0.0.1", server.port());
+  for (const auto& [what, shape] : shapes) {
+    try {
+      client.handoff_import(image(shape));
+      ADD_FAILURE() << what << ": defective import must be refused";
+    } catch (const srv::ServerError& e) {
+      EXPECT_NE(std::string(e.what()).find("refused"), std::string::npos)
+          << what;
+      ASSERT_EQ(e.details().size(), 1u) << what;
+      EXPECT_EQ(e.details()[0].node, "bad/x") << what;
+    }
+    EXPECT_EQ(store.streams(), 0u) << what;
+  }
+  // The connection stays usable: a clean image imports over it.
+  const auto imported = client.handoff_import(image([](auto&) {}));
+  EXPECT_EQ(imported.streams, 2u);
+  EXPECT_EQ(store.streams(), 2u);
+  server.stop();
+}
+
 TEST(Server, HandoffImportIsDurableWithStorage) {
   TempDir dir("handoff");
   mon::StripedRetentionStore src_store;
@@ -1119,7 +1182,8 @@ TEST(Server, MultiReactorCheckpointQuiescesConcurrentIngest) {
       threads.emplace_back([&, c] {
         try {
           srv::NyqmonClient client("127.0.0.1", server.port());
-          const std::string stream = "q" + std::to_string(c) + "/metric";
+          const std::string stream =
+              std::string("q").append(std::to_string(c)).append("/metric");
           const auto values =
               wave(kBatches * kBatch, static_cast<double>(c));
           for (std::size_t b = 0; b < kBatches; ++b) {
@@ -1152,7 +1216,8 @@ TEST(Server, MultiReactorCheckpointQuiescesConcurrentIngest) {
   const auto rec = manager.recover(recovered);
   EXPECT_EQ(rec.crc_skipped_blocks, 0u);
   for (std::size_t c = 0; c < 6; ++c) {
-    const std::string stream = "q" + std::to_string(c) + "/metric";
+    const std::string stream =
+        std::string("q").append(std::to_string(c)).append("/metric");
     EXPECT_EQ(recovered.meta(stream).ingested_samples, 12u * 32u) << stream;
   }
 }

@@ -10,7 +10,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,6 +132,20 @@ TEST(XorCodec, DecodeOfTruncatedStreamThrows) {
   auto bytes = sto::xor_encode(values);
   bytes.resize(bytes.size() / 2);
   EXPECT_THROW(sto::xor_decode(bytes, values.size()), std::runtime_error);
+}
+
+TEST(XorCodec, CountBeyondPayloadThrowsBeforeAllocating) {
+  // A 9-byte payload holds the 64-bit first value plus at most 8 one-bit
+  // repeats; a wire/disk count past that is refused up front instead of
+  // reserving count doubles (up to 32 GiB for a u32 count).
+  auto bytes = sto::xor_encode(std::vector<double>{1.5});
+  bytes.push_back(0);
+  ASSERT_EQ(bytes.size(), 9u);
+  EXPECT_EQ(sto::xor_decode(bytes, 9).size(), 9u);
+  EXPECT_THROW(sto::xor_decode(bytes, 10), std::runtime_error);
+  EXPECT_THROW(sto::xor_decode(bytes, 0xFFFFFFFFu), std::runtime_error);
+  EXPECT_THROW(sto::xor_decode(std::vector<std::uint8_t>(7, 0), 1),
+               std::runtime_error);
 }
 
 // -------------------------------------------------------------------- WAL --
@@ -442,6 +458,116 @@ TEST(StorageManager, CrcCorruptedChunkBlockSkippedAndCounted) {
   // Queries still answer over the surviving data.
   const auto meta = store.meta("dev0/temp");
   EXPECT_GT(store.query("dev0/temp", meta.t0, meta.t_end).size(), 0u);
+}
+
+// A two-chunk stream snapshot on a 1 Hz grid: chunk 0 covers [10, 14),
+// chunk 1 covers [14, 18).
+mon::StreamSnapshot two_chunk_snapshot() {
+  mon::StreamSnapshot snap;
+  snap.name = "dev/x";
+  snap.collection_rate_hz = 1.0;
+  snap.t0 = 10.0;
+  snap.hot_t0 = 18.0;
+  snap.chunks = {{10.0, 1.0, {1.0, 2.0, 3.0, 4.0}},
+                 {14.0, 1.0, {5.0, 6.0, 7.0, 8.0}}};
+  snap.hot = {9.0};
+  snap.stats.ingested_samples = 9;
+  snap.stats.chunks = 2;
+  return snap;
+}
+
+TEST(StorageManager, RestoreRefusesChunksBreakingTheReadInvariant) {
+  using Shape = std::function<void(mon::StreamSnapshot&)>;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, Shape>> shapes{
+      {"empty first chunk", [](auto& s) { s.chunks[0].values.clear(); }},
+      {"empty later chunk", [](auto& s) { s.chunks[1].values.clear(); }},
+      {"nan t0", [&](auto& s) { s.chunks[1].t0 = nan; }},
+      {"inf dt", [&](auto& s) { s.chunks[0].dt = inf; }},
+      {"zero dt", [](auto& s) { s.chunks[1].dt = 0.0; }},
+      {"negative dt", [](auto& s) { s.chunks[0].dt = -1.0; }},
+      {"out of order", [](auto& s) { std::swap(s.chunks[0], s.chunks[1]); }},
+      {"overlap", [](auto& s) { s.chunks[1].t0 = 14.0 - 1e-6; }},
+      {"nan hot_t0", [&](auto& s) { s.hot_t0 = nan; }},
+      {"zero rate", [](auto& s) { s.collection_rate_hz = 0.0; }},
+  };
+  for (const auto& [what, shape] : shapes) {
+    mon::StreamSnapshot snap = two_chunk_snapshot();
+    shape(snap);
+    EXPECT_FALSE(mon::restore_defect(snap).empty()) << what;
+    mon::RetentionStore store;
+    EXPECT_THROW(store.restore_stream(snap), std::invalid_argument) << what;
+    EXPECT_EQ(store.streams(), 0u) << what;
+  }
+
+  // Within the grid tolerance a seam overlap is the seal path's rounding,
+  // not a defect; and an intact snapshot still answers a range disjoint
+  // from its data with the nearest stored value.
+  mon::StreamSnapshot snap = two_chunk_snapshot();
+  snap.chunks[1].t0 = 14.0 - 5e-10;
+  EXPECT_EQ(mon::restore_defect(snap), "");
+  mon::RetentionStore store;
+  store.restore_stream(two_chunk_snapshot());
+  EXPECT_EQ(store.query("dev/x", 0.0, 4.0).values(),
+            (std::vector<double>{1.0, 1.0, 1.0, 1.0}));
+  EXPECT_EQ(store.query("dev/x", 30.0, 32.0).values(),
+            (std::vector<double>{9.0, 9.0}));
+}
+
+TEST(StorageManager, RecoveryDropsDefectiveChunksAndCountsThem) {
+  TempDir dir("defective_chunks");
+  std::string seg_file;
+  {
+    sto::StorageConfig cfg;
+    cfg.dir = dir.path;
+    cfg.truncate_existing = true;
+    sto::StorageManager manager(cfg);
+    mon::RetentionStore store(small_chunks());
+    store.set_ingest_sink(&manager);
+    create_workload_streams(store);
+    ingest_workload(store, 40, 13);
+    manager.flush(store);
+  }
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("seg-", 0) == 0) seg_file = entry.path().string();
+  }
+  ASSERT_FALSE(seg_file.empty());
+
+  // Rewrite the segment with two chunks of dev0/temp broken in ways that
+  // decode cleanly (valid CRCs): one emptied, one with a NaN origin.
+  std::map<std::string, mon::StreamSnapshot> streams;
+  sto::read_segment_bytes(sto::read_file(seg_file), streams);
+  auto& temp = streams.at("dev0/temp");
+  ASSERT_GE(temp.chunks.size(), 4u);
+  const std::size_t chunks_before = temp.chunks.size();
+  temp.chunks[1].values.clear();
+  temp.chunks[3].t0 = std::numeric_limits<double>::quiet_NaN();
+  sto::SegmentWriter writer;
+  for (const auto& [name, snap] : streams) writer.add_stream(snap);
+  {
+    std::ofstream out(seg_file, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(writer.bytes().data()),
+              static_cast<std::streamsize>(writer.bytes().size()));
+  }
+
+  sto::StorageConfig cfg;
+  cfg.dir = dir.path;
+  sto::StorageManager manager(cfg);
+  mon::RetentionStore store(small_chunks());
+  const auto rec = manager.recover(store);
+  EXPECT_EQ(rec.crc_skipped_blocks, 0u);
+  EXPECT_EQ(rec.chunks_missing, 2u);
+  EXPECT_EQ(rec.streams, 2u);
+  EXPECT_EQ(store.snapshot_stream("dev0/temp").chunks.size(),
+            chunks_before - 2);
+  // Every range still answers, including ones disjoint from the data.
+  const auto meta = store.meta("dev0/temp");
+  EXPECT_GT(store.query("dev0/temp", meta.t0, meta.t_end).size(), 0u);
+  EXPECT_EQ(store.query("dev0/temp", meta.t_end + 10.0, meta.t_end + 20.0)
+                .size(),
+            10u);
 }
 
 TEST(StorageManager, CorruptNewestHeaderDropsWalGraftsForThatStreamOnly) {
