@@ -17,6 +17,13 @@
 // narrower ones keep hitting. Per-query reconstruction fan-out is pinned
 // to 1 worker: the scaling under test is client concurrency, not nested
 // parallelism.
+//
+// Per row, three ungated fields attribute a slow row to the writer: how
+// many stripe-lock acquisitions blocked while clients ran
+// (nyqmon_store_lock_contended_total delta), the p99 of those waits
+// (nyqmon_store_lock_wait_ns over the row), and how many chunks the
+// writer stream had sealed when the row ended (the length of the chunk-ref
+// vector each fleet-wide query captures).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -29,6 +36,7 @@
 
 #include "common.h"
 #include "engine/engine.h"
+#include "obs/metrics.h"
 #include "query/builder.h"
 #include "query/engine.h"
 #include "util/ascii.h"
@@ -125,6 +133,11 @@ int main(int argc, char** argv) {
   CsvWriter csv(bench::csv_path("query_throughput"),
                 {"threads", "queries", "wall_s", "qps", "hit_rate"});
   std::string json_threads, json_qps, json_hits;
+  std::string json_contended, json_wait_p99, json_writer_chunks;
+  obs::Counter& contended =
+      obs::Registry::instance().counter("nyqmon_store_lock_contended_total");
+  obs::Histogram& lock_wait =
+      obs::Registry::instance().histogram("nyqmon_store_lock_wait_ns");
 
   for (const std::size_t threads : {1, 2, 4, 8}) {
     // Fresh engine + store per row: identical contents for every thread
@@ -140,6 +153,8 @@ int main(int argc, char** argv) {
     const std::size_t total = threads * queries_per_thread;
     std::atomic<std::size_t> next{0};
     std::atomic<bool> stop{false};
+    lock_wait.reset();
+    const std::uint64_t contended_before = contended.value();
     std::thread writer([&] {
       std::vector<double> batch(64);
       double t = 0.0;
@@ -165,8 +180,12 @@ int main(int argc, char** argv) {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    const std::uint64_t row_contended = contended.value() - contended_before;
+    const double row_wait_p99 = lock_wait.snapshot().quantile(0.99);
     stop.store(true);
     writer.join();
+    const std::size_t writer_chunks =
+        engine.store().stats(kWriterStream).chunks;
 
     const auto stats = qe.stats();
     const double qps = static_cast<double>(total) / wall;
@@ -181,6 +200,10 @@ int main(int argc, char** argv) {
     bench::json_append(json_threads, "%zu", threads);
     bench::json_append(json_qps, "%.1f", qps);
     bench::json_append(json_hits, "%.3f", stats.cache.hit_rate());
+    bench::json_append(json_contended, "%llu",
+                       static_cast<unsigned long long>(row_contended));
+    bench::json_append(json_wait_p99, "%.0f", row_wait_p99);
+    bench::json_append(json_writer_chunks, "%zu", writer_chunks);
   }
 
   std::printf("%s\n", table.render().c_str());
@@ -190,6 +213,9 @@ int main(int argc, char** argv) {
           std::to_string(fleet.size()) +
           ",\"queries_per_thread\":" + std::to_string(queries_per_thread) +
           ",\"threads\":[" + json_threads + "],\"qps\":[" + json_qps +
-          "],\"cache_hit_rate\":[" + json_hits + "]}");
+          "],\"cache_hit_rate\":[" + json_hits +
+          "],\"lock_contended\":[" + json_contended +
+          "],\"lock_wait_p99_ns\":[" + json_wait_p99 +
+          "],\"writer_chunks\":[" + json_writer_chunks + "]}");
   return 0;
 }

@@ -9,7 +9,7 @@
 // beat deals the pairs into shards (engine/shard.h) claimed by a fixed pool
 // of worker threads, and every pair is driven through adaptive sampling,
 // reconstruction and an aliasing audit concurrently. Reconstructions flow
-// into a shared mutex-striped RetentionStore keyed by "device/metric"
+// into a shared StripedRetentionStore keyed by "device/metric"
 // stream IDs, so retained data can be queried after the run; per-pair
 // outcomes feed the fleet report (engine/report.h).
 //

@@ -78,7 +78,7 @@ sig::RegularSeries reconstruct_range(double collection_rate_hz,
 
   // Only the sealed chunks whose window can hold a grid point are read.
   // Chunk starts and ends never decrease along the vector (the invariant
-  // RetentionStore keeps and restore_stream enforces), so every grid point
+  // the seal path keeps and restore_stream enforces), so every grid point
   // of a chunk before the last one starting at or before the first grid
   // point also lies in that chunk's window and is overwritten by it: the
   // read starts there (binary search) and stops at the first chunk that

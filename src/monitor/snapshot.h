@@ -8,8 +8,7 @@
 //   SealedChunk      an immutable sealed chunk, shared by reference
 //                    between the store and any live snapshots.
 //   reconstruct_range()  the one band-limited reconstruction algorithm,
-//                    shared by the locked store query and lock-free
-//                    snapshot reads so both are bit-identical.
+//                    behind every snapshot read (and so every store read).
 //   EpochRegistry    a monotonic epoch counter plus the set of epochs
 //                    pinned by live snapshots. Chunks evicted by the
 //                    retention cap are parked here, stamped with the
@@ -18,7 +17,7 @@
 //                    released.
 //
 // ReadSnapshot itself (the user-facing handle) lives in monitor/store.h
-// next to the store API it snapshots.
+// next to the value types it exports.
 #pragma once
 
 #include <cstdint>
@@ -47,12 +46,10 @@ using SealedChunkRef = std::shared_ptr<const SealedChunk>;
 
 /// Reconstruct the half-open range [t_begin, t_end) on the collection grid
 /// from sealed chunks plus the unsealed hot tail (rooted at hot_t0, raw at
-/// the collection rate). This is the single reconstruction algorithm: the
-/// store's locked query() and ReadSnapshot's lock-free query() both call
-/// it, so snapshot reads are bit-identical to locked reads by
-/// construction. Semantics match RetentionStore::query (clamped empty
-/// ranges, hole-filling with the nearest value, nearest-value hold for
-/// fully disjoint ranges).
+/// the collection rate). This is the single reconstruction algorithm,
+/// behind ReadSnapshot::query and so behind every store read. Semantics
+/// match ReadSnapshot::query (clamped empty ranges, hole-filling with the
+/// nearest value, nearest-value hold for fully disjoint ranges).
 ///
 /// Cost is O(log chunks + overlapping chunks + range points): `chunks`
 /// must be time-ordered with non-decreasing starts and ends (see

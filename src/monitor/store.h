@@ -7,12 +7,15 @@
 //  present for later analysis only the measurements that are re-sampled at
 //  the lower nyquist rate." (paper Section 4, opening)
 //
-// RetentionStore implements exactly that policy: streams are ingested at
-// the (high) collection rate into a bounded hot buffer; when a chunk of the
-// hot buffer seals, the store estimates its Nyquist rate and persists the
-// chunk re-sampled at headroom * that rate (falling back to the raw rate
-// when the estimate is unusable). Queries reconstruct any time range back
-// onto the collection grid by band-limited interpolation.
+// StripedRetentionStore (monitor/striped_store.h) implements exactly that
+// policy: streams are ingested at the (high) collection rate into a bounded
+// hot buffer; when a chunk of the hot buffer seals, the store estimates its
+// Nyquist rate and persists the chunk re-sampled at headroom * that rate
+// (falling back to the raw rate when the estimate is unusable). Queries
+// reconstruct any time range back onto the collection grid by band-limited
+// interpolation. The per-stream state and the seal itself are private to
+// monitor/store.cc; this header holds the value types the store, its
+// snapshots, and the durable tier exchange.
 #pragma once
 
 #include <cstdint>
@@ -33,8 +36,15 @@
 
 namespace nyqmon::mon {
 
+/// Upper bound on StoreConfig::chunk_samples. It also bounds what a read
+/// may allocate: every sealed chunk spans exactly its writer's
+/// chunk_samples collection-grid points, so restore_defect refuses a chunk
+/// spanning more, and reconstruct_range never densifies one past this.
+inline constexpr std::size_t kMaxChunkSamples = std::size_t{1} << 20;
+
 struct StoreConfig {
-  /// Samples per sealed chunk (the unit of re-sampling decisions).
+  /// Samples per sealed chunk (the unit of re-sampling decisions); in
+  /// [32, kMaxChunkSamples].
   std::size_t chunk_samples = 512;
   /// Rate headroom kept above the estimated Nyquist rate.
   double headroom = 1.5;
@@ -151,19 +161,22 @@ struct StreamSnapshot {
   StreamStats stats;
 };
 
-/// Remove the chunks restore_defect would refuse, each judged against the
-/// last chunk kept; returns how many were removed (recovery's
-/// skip-and-count for chunks decoded from a damaged segment).
-std::size_t drop_defective_chunks(std::vector<ChunkSnapshot>& chunks);
+/// Remove the chunks restore_defect would refuse on a stream collected at
+/// `collection_rate_hz`, each judged against the last chunk kept; returns
+/// how many were removed (recovery's skip-and-count for chunks decoded
+/// from a damaged segment).
+std::size_t drop_defective_chunks(std::vector<ChunkSnapshot>& chunks,
+                                  double collection_rate_hz);
 
 /// Why restore_stream would refuse `snapshot` (a name already in the store
 /// aside), or empty when it would restore it: a finite grid and origin,
 /// a full (chunks_before == 0) snapshot, and sealed chunks in the order
 /// reconstruct_range's binary search relies on and the seal path keeps —
-/// each chunk holds at least one value on a finite grid with dt > 0, and
-/// its window starts and ends no earlier than its predecessor's and
-/// overlaps it by at most the grid tolerance (1e-9 s, widened to a few
-/// ulps of the predecessor's end at large magnitudes).
+/// each chunk holds at least one value on a finite grid with dt > 0,
+/// spans at most kMaxChunkSamples collection-grid points (plus one for
+/// rounding), and its window starts and ends no earlier than its
+/// predecessor's and overlaps it by at most the grid tolerance (1e-9 s,
+/// widened to a few ulps of the predecessor's end at large magnitudes).
 std::string restore_defect(const StreamSnapshot& snapshot);
 
 /// One stream's captured read state inside a ReadSnapshot: sealed chunks
@@ -187,12 +200,12 @@ struct StreamView {
 };
 
 /// An immutable, epoch-stamped view over a set of streams, acquired from
-/// RetentionStore/StripedRetentionStore::acquire_snapshot(). Capture is
-/// brief (per stripe: chunk refs + a hot-tail copy per stream, under the
-/// stripe lock); every read afterwards — query(), export_stream(),
-/// find_meta() — is lock-free and unaffected by concurrent ingest. Reads
-/// are bit-identical to the store's own locked query() at capture time
-/// because both run the shared reconstruct_range() algorithm.
+/// StripedRetentionStore::acquire_snapshot(). Capture is brief (per
+/// stripe: chunk refs + a hot-tail copy per stream, under the stripe
+/// lock); every read afterwards — query(), export_stream(), find_meta() —
+/// is lock-free and unaffected by concurrent ingest. This is the store's
+/// only read and export path: its own query() and snapshot_stream() are a
+/// one-stream capture followed by these reads.
 ///
 /// The handle pins its epoch in the store's EpochRegistry: sealed chunks
 /// evicted by the retention cap while this snapshot is live are parked,
@@ -243,15 +256,23 @@ class ReadSnapshot {
   /// Metadata as of capture time; nullopt for names outside the snapshot.
   std::optional<StreamMeta> find_meta(const std::string& name) const;
 
-  /// Lock-free reconstruction over the captured state; same contract as
-  /// RetentionStore::query. Throws std::invalid_argument for names
-  /// outside the snapshot.
+  /// Reconstruct the half-open range [t_begin, t_end) on the stream's
+  /// collection grid from the captured state (sealed chunks re-sampled,
+  /// the hot tail raw), lock-free. The result holds
+  /// round((t_end - t_begin) * rate) points at t_begin + i/rate, all
+  /// < t_end up to grid rounding. Inverted or empty ranges (t_begin >=
+  /// t_end, or a span shorter than half a grid step) are clamped to a
+  /// defined result: an empty series anchored at t_begin on the collection
+  /// grid. Ranges beyond the ingested data hold the nearest stored value.
+  /// Throws std::invalid_argument for names outside the snapshot.
   sig::RegularSeries query(const std::string& name, double t_begin,
                            double t_end) const;
 
   /// Externalize one captured stream (the storage tier's flush input),
-  /// omitting the first `skip_chunks` sealed chunks; same contract as
-  /// RetentionStore::snapshot_stream but without touching the live store.
+  /// omitting the first `skip_chunks` sealed chunks (the delta-flush hook:
+  /// chunks already durable in earlier segments are not copied again).
+  /// Skips are absolute chunk indexes and must cover the prefix the
+  /// retention cap evicted; throws std::invalid_argument otherwise.
   StreamSnapshot export_stream(const std::string& name,
                                std::size_t skip_chunks = 0) const;
 
@@ -276,137 +297,6 @@ class IngestSink {
                                 double collection_rate_hz, double t0) = 0;
   virtual void on_append(const std::string& name,
                          std::span<const double> values) = 0;
-};
-
-class RetentionStore {
- public:
-  explicit RetentionStore(StoreConfig config = {});
-
-  /// Create a stream ingesting at `collection_rate_hz` starting at t0.
-  /// Stream names must be unique; the rate must be finite and > 0 and t0
-  /// finite.
-  void create_stream(const std::string& name, double collection_rate_hz,
-                     double t0 = 0.0);
-
-  /// Append the next reading of a stream (readings arrive in grid order).
-  void append(const std::string& name, double value);
-
-  /// Bulk append: one stream lookup for the whole series.
-  void append_series(const std::string& name, std::span<const double> values);
-
-  /// Reconstruct the half-open range [t_begin, t_end) on the stream's
-  /// collection grid from whatever the store kept (sealed chunks re-sampled,
-  /// the hot tail raw). The result holds round((t_end - t_begin) * rate)
-  /// points at t_begin + i/rate, all < t_end up to grid rounding. Inverted
-  /// or empty ranges (t_begin >= t_end, or a span shorter than half a grid
-  /// step) are clamped to a defined result: an empty series anchored at
-  /// t_begin on the collection grid. Ranges beyond the ingested data hold
-  /// the nearest stored value. Unknown names throw std::invalid_argument.
-  sig::RegularSeries query(const std::string& name, double t_begin,
-                           double t_end) const;
-
-  StreamStats stats(const std::string& name) const;
-
-  /// Grid/span/generation metadata for one stream (see StreamMeta).
-  StreamMeta meta(const std::string& name) const;
-
-  /// meta() that reports an unknown name as nullopt instead of throwing —
-  /// the serving layer's exact-selector fast path.
-  std::optional<StreamMeta> find_meta(const std::string& name) const;
-
-  /// Metadata for every stream whose name starts with `prefix` (all of
-  /// them for an empty prefix), in lexicographic name order. Cheap (no
-  /// reconstruction) and O(log streams + matches): the name map is
-  /// entered at lower_bound(prefix) and walked only over the prefix's key
-  /// range. The serving layer calls this per query with a glob's literal
-  /// prefix to match selectors and prune streams outside the time range.
-  std::vector<std::pair<std::string, StreamMeta>> list_meta(
-      std::string_view prefix = {}) const;
-
-  /// Names of all streams, in lexicographic order.
-  std::vector<std::string> stream_names() const;
-
-  /// Aggregate ingest/retention counters across all streams.
-  StoreRollup rollup() const;
-
-  /// Storage bill for everything currently persisted (sealed + hot).
-  Cost storage_cost() const;
-
-  std::size_t streams() const { return streams_.size(); }
-
-  const StoreConfig& config() const { return config_; }
-
-  /// Attach a durability sink (nullptr detaches). Every subsequent
-  /// create_stream/append goes through the sink *before* the store mutates.
-  /// restore_stream never notifies — recovery must not re-log itself.
-  void set_ingest_sink(IngestSink* sink) { sink_ = sink; }
-
-  /// Externalize one stream's state, omitting the first `skip_chunks`
-  /// sealed chunks (the storage tier's delta-flush hook: chunks already
-  /// durable in earlier segments are not copied again).
-  StreamSnapshot snapshot_stream(const std::string& name,
-                                 std::size_t skip_chunks = 0) const;
-
-  /// Recreate a stream from a full snapshot (chunks_before must be 0 and
-  /// the name unused). Queries against the restored stream are
-  /// bit-identical to the store the snapshot was taken from, and its
-  /// generation counter continues monotonically. A snapshot restore_defect
-  /// refuses (a bad grid, or chunks empty or out of time order) throws
-  /// std::invalid_argument and leaves the store unchanged.
-  void restore_stream(StreamSnapshot snapshot);
-
-  // ---- snapshot-isolated reads ----
-
-  /// Acquire an immutable, epoch-stamped view over every stream (see
-  /// ReadSnapshot). Capture cost: chunk refs plus one hot-tail copy per
-  /// stream; reads on the handle never touch the store again.
-  ReadSnapshot acquire_snapshot() const;
-
-  /// Acquire a snapshot covering only `names` (unknown names are skipped,
-  /// mirroring the serving layer's match-then-read pipeline where a
-  /// stream can only appear between match and capture).
-  ReadSnapshot acquire_snapshot(std::span<const std::string> names) const;
-
-  /// Capture one stream's view without pinning an epoch — the striped
-  /// store composes these per stripe under each stripe lock, then pins
-  /// once. Returns false for unknown names.
-  bool capture_stream_view(const std::string& name, StreamView& out) const;
-
-  /// Capture every stream's view (appended to `out` in name order).
-  void capture_all_views(std::vector<StreamView>& out) const;
-
-  /// The epoch registry backing this store's snapshots. A striped store
-  /// replaces each stripe's registry with one shared instance so a fleet
-  /// snapshot pins a single epoch.
-  const std::shared_ptr<EpochRegistry>& epoch_registry() const {
-    return epochs_;
-  }
-  void share_epoch_registry(std::shared_ptr<EpochRegistry> registry) {
-    epochs_ = std::move(registry);
-  }
-
- private:
-  struct Stream {
-    double collection_rate_hz = 0.0;
-    double t0 = 0.0;
-    std::size_t ingested = 0;
-    std::vector<double> hot;  ///< unsealed tail, at the collection rate
-    double hot_t0 = 0.0;
-    std::vector<SealedChunkRef> chunks;
-    std::size_t chunks_trimmed = 0;  ///< evicted by the retention cap
-    StreamStats stats;
-    std::uint64_t generation = 0;  ///< bumped per non-empty append batch
-  };
-
-  void seal_chunk(Stream& stream);
-  const Stream& stream(const std::string& name) const;
-  StreamView make_view(const std::string& name, const Stream& s) const;
-
-  StoreConfig config_;
-  /// Transparent comparator: list_meta seeks with a string_view prefix.
-  std::map<std::string, Stream, std::less<>> streams_;
-  IngestSink* sink_ = nullptr;
-  std::shared_ptr<EpochRegistry> epochs_ = std::make_shared<EpochRegistry>();
 };
 
 }  // namespace nyqmon::mon

@@ -1,17 +1,23 @@
-// Thread-safe, mutex-striped facade over RetentionStore.
+// The retention store: the paper's a-posteriori policy (monitor/store.h),
+// thread-safe and mutex-striped.
 //
 // The fleet engine drives hundreds of metric-device pairs concurrently and
 // every pair ingests its reconstruction into shared retention. A single
 // store behind one mutex would serialize the fan-in, so streams are
-// partitioned across S independent RetentionStore stripes by a stable hash
-// of the stream name; each stripe has its own lock and unrelated streams
-// ingest in parallel. The final store state is independent of thread
-// interleaving because every stream is written by exactly one producer and
-// stripe assignment depends only on the name.
+// partitioned across S independent stripes by a stable hash of the stream
+// name; each stripe has its own lock and unrelated streams ingest in
+// parallel. The final store state is independent of thread interleaving
+// because every stream is written by exactly one producer and stripe
+// assignment depends only on the name.
+//
+// A stripe's streams, and the seal that re-samples a full hot chunk at its
+// Nyquist rate, are private to monitor/store.cc: each method below locks
+// one stripe (or each in turn) and acts on the stream directly. Reads go
+// through one path: query() and snapshot_stream() capture the stream under
+// its stripe lock and then read the capture like any ReadSnapshot.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -27,8 +33,13 @@ class StripedRetentionStore {
  public:
   explicit StripedRetentionStore(StoreConfig config = {},
                                  std::size_t stripes = 16);
+  ~StripedRetentionStore();
+  StripedRetentionStore(StripedRetentionStore&&) noexcept;
+  StripedRetentionStore& operator=(StripedRetentionStore&&) noexcept;
 
-  /// Thread-safe equivalents of the RetentionStore stream API.
+  /// Create a stream ingesting at `collection_rate_hz` starting at t0.
+  /// Stream names must be unique; the rate must be finite and > 0 and t0
+  /// finite.
   void create_stream(const std::string& name, double collection_rate_hz,
                      double t0 = 0.0);
   /// create_stream() unless `name` already exists, as one step under the
@@ -36,10 +47,14 @@ class StripedRetentionStore {
   /// (nyqmond's reactors race exactly this), and exactly one creates it.
   void find_or_create_stream(const std::string& name,
                              double collection_rate_hz, double t0 = 0.0);
+  /// Append the next reading of a stream (readings arrive in grid order).
   void append(const std::string& name, double value);
   /// Bulk ingest: one lock acquisition for the whole series.
   void append_series(const std::string& name, std::span<const double> values);
 
+  /// Reconstruct [t_begin, t_end) on the stream's collection grid (see
+  /// ReadSnapshot::query for the range contract). Unknown names throw
+  /// std::invalid_argument.
   sig::RegularSeries query(const std::string& name, double t_begin,
                            double t_end) const;
   StreamStats stats(const std::string& name) const;
@@ -67,24 +82,32 @@ class StripedRetentionStore {
   /// Aggregate ingest/retention counters across every stripe.
   StoreRollup rollup() const;
 
-  /// Storage bill across every stripe.
+  /// Storage bill for everything currently persisted (sealed + hot).
   Cost storage_cost() const;
 
   std::size_t streams() const;
   std::size_t stripes() const { return stripes_.size(); }
 
-  /// The (shared) per-stripe store configuration.
+  /// The store configuration every stripe seals by.
   const StoreConfig& config() const;
 
-  /// Attach a durability sink to every stripe (nullptr detaches). The sink
-  /// is invoked under the owning stripe's lock, from whichever thread
-  /// ingests — it must be thread-safe.
+  /// Attach a durability sink to every stripe (nullptr detaches). Every
+  /// subsequent create_stream/append goes through the sink *before* the
+  /// store mutates, under the owning stripe's lock and from whichever
+  /// thread ingests — it must be thread-safe. restore_stream never
+  /// notifies: recovery must not re-log itself.
   void set_ingest_sink(IngestSink* sink);
 
-  /// Thread-safe equivalents of the RetentionStore snapshot/restore API
-  /// (see monitor/store.h) — the storage tier's flush/recover hooks.
+  /// Externalize one stream's state, omitting the first `skip_chunks`
+  /// sealed chunks (see ReadSnapshot::export_stream).
   StreamSnapshot snapshot_stream(const std::string& name,
                                  std::size_t skip_chunks = 0) const;
+
+  /// Recreate a stream from a full snapshot (chunks_before must be 0 and
+  /// the name unused). Queries against the restored stream are
+  /// bit-identical to the store the snapshot was taken from, and its
+  /// generation counter continues monotonically. A snapshot restore_defect
+  /// refuses throws std::invalid_argument and leaves the store unchanged.
   void restore_stream(StreamSnapshot snapshot);
 
   /// Acquire an immutable, epoch-stamped view over every stream (see
@@ -107,19 +130,13 @@ class StripedRetentionStore {
   }
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    RetentionStore store;
+  struct Stripe;  ///< a lock plus its streams; defined in store.cc
 
-    explicit Stripe(const StoreConfig& config) : store(config) {}
-  };
+  Stripe& stripe_of(const std::string& name) const;
 
-  Stripe& stripe_of(const std::string& name);
-  const Stripe& stripe_of(const std::string& name) const;
-
-  std::vector<std::unique_ptr<Stripe>> stripes_;
   /// One registry across all stripes so a fleet snapshot pins one epoch.
   std::shared_ptr<EpochRegistry> epochs_ = std::make_shared<EpochRegistry>();
+  std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 
 }  // namespace nyqmon::mon

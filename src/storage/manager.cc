@@ -236,16 +236,14 @@ void StorageManager::record_geometry(const mon::StoreConfig& config) {
   write_manifest_locked();
 }
 
-template <typename Store>
-FlushStats StorageManager::flush_impl(const Store& store) {
+FlushStats StorageManager::flush(const mon::StripedRetentionStore& store) {
   NYQMON_TRACE_SPAN("flush", "storage");
   const auto t_start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(manifest_mu_);
   NYQMON_CHECK_MSG(recovered_,
                    "attach-mode StorageManager: recover() before flush()");
   FlushStats out;
-  // One snapshot acquisition replaces the per-stream locked
-  // snapshot_stream() walk: stripe locks are held only during the brief
+  // One snapshot acquisition: stripe locks are held only during the brief
   // capture, and the (comparatively slow) segment encoding below runs
   // against the immutable epoch-stamped view.
   const mon::ReadSnapshot snapshot = store.acquire_snapshot();
@@ -325,16 +323,7 @@ FlushStats StorageManager::flush_impl(const Store& store) {
   return out;
 }
 
-FlushStats StorageManager::flush(const mon::RetentionStore& store) {
-  return flush_impl(store);
-}
-
-FlushStats StorageManager::flush(const mon::StripedRetentionStore& store) {
-  return flush_impl(store);
-}
-
-template <typename Store>
-RecoveryStats StorageManager::recover_impl(Store& store) {
+RecoveryStats StorageManager::recover(mon::StripedRetentionStore& store) {
   const auto t_start = std::chrono::steady_clock::now();
   std::unique_lock<std::mutex> lock(manifest_mu_);
   NYQMON_CHECK_MSG(store.streams() == 0, "recover() needs an empty store");
@@ -386,10 +375,11 @@ RecoveryStats StorageManager::recover_impl(Store& store) {
   for (auto& [name, snap] : streams) {
     if (snap.chunks.size() < snap.stats.chunks)
       out.chunks_missing += snap.stats.chunks - snap.chunks.size();
-    // Chunks that decoded but break the time-ordered invariant the read
-    // path relies on (empty, non-finite, out of order) are skipped and
-    // counted like chunk blocks lost to corruption.
-    out.chunks_missing += mon::drop_defective_chunks(snap.chunks);
+    // Chunks that decoded but break the invariant the read path relies on
+    // (empty, non-finite, too wide, out of order) are skipped and counted
+    // like chunk blocks lost to corruption.
+    out.chunks_missing +=
+        mon::drop_defective_chunks(snap.chunks, snap.collection_rate_hz);
     out.chunks += snap.chunks.size();
     flushed_chunks_[name] = snap.chunks.size();
     store.restore_stream(std::move(snap));
@@ -427,14 +417,6 @@ RecoveryStats StorageManager::recover_impl(Store& store) {
   recovered_ = true;
   out.seconds = elapsed_s(t_start);
   return out;
-}
-
-RecoveryStats StorageManager::recover(mon::RetentionStore& store) {
-  return recover_impl(store);
-}
-
-RecoveryStats StorageManager::recover(mon::StripedRetentionStore& store) {
-  return recover_impl(store);
 }
 
 std::size_t StorageManager::compact_locked() {

@@ -1,5 +1,6 @@
-// RetentionStore (the paper's a-posteriori policy: collect fast, store at
-// the Nyquist rate) and RatePriorStore (warm-starting from fleet history).
+// StripedRetentionStore (the paper's a-posteriori policy: collect fast,
+// store at the Nyquist rate) and RatePriorStore (warm-starting from fleet
+// history).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,6 @@
 
 #include "dsp/resample.h"
 #include "monitor/rate_prior.h"
-#include "monitor/store.h"
 #include "monitor/striped_store.h"
 #include "obs/metrics.h"
 #include "reconstruct/error.h"
@@ -27,11 +27,11 @@ namespace {
 using nyqmon::Rng;
 using namespace nyqmon;
 using mon::RatePriorStore;
-using mon::RetentionStore;
+using mon::StripedRetentionStore;
 using mon::StoreConfig;
 
 TEST(Store, CreateAppendQuery) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("tor1/temp", 1.0 / 30.0);
   for (int i = 0; i < 100; ++i) store.append("tor1/temp", 42.0);
   const auto series = store.query("tor1/temp", 0.0, 100.0 * 30.0);
@@ -40,7 +40,7 @@ TEST(Store, CreateAppendQuery) {
 }
 
 TEST(Store, DuplicateStreamThrows) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 1.0);
   EXPECT_THROW(store.create_stream("s", 1.0), std::invalid_argument);
   // A grid recovery could not restore is refused up front.
@@ -61,7 +61,7 @@ TEST(Store, EmptyStreamReductionIsOne) {
   ghost.stored_samples = 5;  // nothing ingested: reduction is undefined
   EXPECT_DOUBLE_EQ(ghost.reduction(), 1.0);
 
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("idle", 1.0);
   EXPECT_DOUBLE_EQ(store.stats("idle").reduction(), 1.0);
 
@@ -76,7 +76,7 @@ TEST(Store, EmptyStreamReductionIsOne) {
 }
 
 TEST(Store, UnknownStreamThrows) {
-  RetentionStore store;
+  StripedRetentionStore store;
   EXPECT_THROW(store.append("nope", 1.0), std::invalid_argument);
   EXPECT_THROW((void)store.query("nope", 0.0, 1.0), std::invalid_argument);
   EXPECT_THROW((void)store.stats("nope"), std::invalid_argument);
@@ -88,7 +88,7 @@ TEST(Store, SealedChunksShrinkOversampledStreams) {
   const sig::SumOfSines tone({{0.002, 5.0, 0.0}}, /*dc=*/50.0);
   StoreConfig cfg;
   cfg.chunk_samples = 1024;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("link", 1.0);
   for (int i = 0; i < 4096; ++i) store.append("link", tone.value(i));
 
@@ -103,7 +103,7 @@ TEST(Store, QueryReconstructsSealedData) {
   const sig::SumOfSines tone({{0.002, 5.0, 0.0}}, 50.0);
   StoreConfig cfg;
   cfg.chunk_samples = 1024;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("link", 1.0);
   for (int i = 0; i < 2048; ++i) store.append("link", tone.value(i));
 
@@ -116,7 +116,7 @@ TEST(Store, QueryReconstructsSealedData) {
 }
 
 TEST(Store, HotTailServedRaw) {
-  RetentionStore store;  // default chunk 512
+  StripedRetentionStore store;  // default chunk 512
   store.create_stream("s", 1.0);
   for (int i = 0; i < 100; ++i) store.append("s", double(i));  // unsealed
   const auto series = store.query("s", 0.0, 100.0);
@@ -130,7 +130,7 @@ TEST(Store, BroadbandChunksKeptAtFullRate) {
   Rng rng(55);
   StoreConfig cfg;
   cfg.chunk_samples = 512;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("drops", 1.0);
   for (int i = 0; i < 1024; ++i) store.append("drops", rng.normal(0.0, 1.0));
   const auto stats = store.stats("drops");
@@ -143,14 +143,14 @@ TEST(Store, StorageCostReflectsReduction) {
   StoreConfig cfg;
   cfg.chunk_samples = 512;
 
-  RetentionStore reduced(cfg);
+  StripedRetentionStore reduced(cfg);
   reduced.create_stream("s", 1.0);
   for (int i = 0; i < 2048; ++i) reduced.append("s", tone.value(i));
 
   // The same data in a store with (effectively) no chunk sealing yet.
   StoreConfig raw_cfg;
   raw_cfg.chunk_samples = 1 << 20;  // effectively never seals
-  RetentionStore raw(raw_cfg);
+  StripedRetentionStore raw(raw_cfg);
   raw.create_stream("s", 1.0);
   for (int i = 0; i < 2048; ++i) raw.append("s", tone.value(i));
 
@@ -162,7 +162,7 @@ TEST(Store, EmptyAndInvertedRangesClampToEmptySeries) {
   // Half-open [t_begin, t_end): inverted or empty ranges are defined to
   // return an empty series on the collection grid, not to throw or to fall
   // through reconstruction.
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 2.0);
   for (int i = 0; i < 50; ++i) store.append("s", double(i));
 
@@ -183,7 +183,7 @@ TEST(Store, QueryEntirelyInsideHotTail) {
   // in the tail must serve the raw (unsealed) values exactly.
   StoreConfig cfg;
   cfg.chunk_samples = 64;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
   for (int i = 0; i < 150; ++i) store.append("s", double(i));  // 128 sealed
 
@@ -198,7 +198,7 @@ TEST(Store, QuerySpansSealedHotBoundary) {
   // across the sealed-chunk / hot-tail seam, with no discontinuity.
   StoreConfig cfg;
   cfg.chunk_samples = 64;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
   for (int i = 0; i < 100; ++i) store.append("s", 5.0);
 
@@ -209,7 +209,7 @@ TEST(Store, QuerySpansSealedHotBoundary) {
 }
 
 TEST(Store, QueryPastEndOfDataHoldsLastValue) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 1.0);
   for (int i = 0; i < 10; ++i) store.append("s", double(i));
 
@@ -226,7 +226,7 @@ TEST(Store, QueryPastEndOfDataHoldsLastValue) {
 }
 
 TEST(Store, QueryBeforeDataHoldsFirstValue) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 1.0, /*t0=*/100.0);
   for (int i = 0; i < 10; ++i) store.append("s", double(i));  // [100, 110)
 
@@ -244,7 +244,7 @@ TEST(Store, QueryBeforeDataHoldsFirstValue) {
 }
 
 TEST(Store, MetaTracksSpanAndGeneration) {
-  RetentionStore store;
+  StripedRetentionStore store;
   store.create_stream("s", 2.0, /*t0=*/100.0);
   auto m = store.meta("s");
   EXPECT_DOUBLE_EQ(m.collection_rate_hz, 2.0);
@@ -402,7 +402,7 @@ StoreConfig small_chunk_config() {
 
 // Chunks alternate between a slow tone (stored Nyquist-reduced) and noise
 // (kept at the full collection rate), with an unsealed tail of 19 samples.
-void fill_mixed_stream(RetentionStore& store, const std::string& name,
+void fill_mixed_stream(StripedRetentionStore& store, const std::string& name,
                        double rate_hz, double t0, std::size_t chunks,
                        std::uint64_t seed) {
   const sig::SumOfSines tone({{0.004 * rate_hz, 3.0, 0.4}}, 20.0);
@@ -466,7 +466,7 @@ std::vector<std::pair<double, double>> probe_ranges(
   return out;
 }
 
-void expect_matches_full_scan(const RetentionStore& store,
+void expect_matches_full_scan(const StripedRetentionStore& store,
                               const std::string& name, std::uint64_t seed) {
   const mon::ReadSnapshot snap = store.acquire_snapshot();
   const mon::StreamView* v = snap.find(name);
@@ -494,7 +494,7 @@ void expect_matches_full_scan(const RetentionStore& store,
 }
 
 TEST(RangeRead, MatchesFullScanReferenceBitForBit) {
-  RetentionStore store(small_chunk_config());
+  StripedRetentionStore store(small_chunk_config());
   fill_mixed_stream(store, "unit", 1.0, 0.0, 40, 3);
   fill_mixed_stream(store, "fast", 4.0, -3.3, 40, 4);
   fill_mixed_stream(store, "slow", 1.0 / 30.0, 1000.0, 24, 5);
@@ -511,13 +511,13 @@ TEST(RangeRead, MatchesFullScanReferenceBitForBit) {
 TEST(RangeRead, HandoffRestoredStreamMatchesFullScanReference) {
   // The HANDOFF path: export the captured stream into a segment image,
   // decode it as the importer does, and restore it into another store.
-  RetentionStore src(small_chunk_config());
+  StripedRetentionStore src(small_chunk_config());
   fill_mixed_stream(src, "dev/m", 2.0, 50.0, 30, 8);
   sto::SegmentWriter writer;
   writer.add_stream(src.acquire_snapshot().export_stream("dev/m"));
   std::map<std::string, mon::StreamSnapshot> decoded;
   sto::read_segment_bytes(writer.bytes(), decoded);
-  RetentionStore dst(small_chunk_config());
+  StripedRetentionStore dst(small_chunk_config());
   dst.restore_stream(std::move(decoded.at("dev/m")));
   expect_matches_full_scan(dst, "dev/m", 21);
   const auto meta = src.meta("dev/m");
@@ -532,7 +532,7 @@ TEST(RangeRead, ChunksResampledPerQueryIndependentOfHistory) {
       "nyqmon_store_chunks_resampled_total");
   std::vector<std::uint64_t> per_query;
   for (const std::size_t chunks : {16u, 256u}) {
-    RetentionStore store(small_chunk_config());
+    StripedRetentionStore store(small_chunk_config());
     fill_mixed_stream(store, "s", 1.0, 0.0, chunks, 9);
     const std::uint64_t before = resampled.value();
     EXPECT_EQ(store.query("s", 320.0, 384.0).size(), 64u);
@@ -604,7 +604,7 @@ TEST(Snapshot, ReaderSurvivesSealEvictionAndReclaim) {
   StoreConfig cfg;
   cfg.chunk_samples = 64;
   cfg.max_chunks_per_stream = 2;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 2.0);  // collection grid dt = 0.5 s
   for (int i = 0; i < 300; ++i)
     store.append("s", std::sin(0.05 * i) + 0.01 * (i % 7));
@@ -650,7 +650,7 @@ TEST(Snapshot, LateSnapshotDoesNotDelayReclaim) {
   StoreConfig cfg;
   cfg.chunk_samples = 32;
   cfg.max_chunks_per_stream = 1;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
 
   mon::ReadSnapshot early = store.acquire_snapshot();
@@ -708,7 +708,7 @@ TEST(Snapshot, ExportAccountsForTrimmedChunks) {
   StoreConfig cfg;
   cfg.chunk_samples = 32;
   cfg.max_chunks_per_stream = 2;
-  RetentionStore store(cfg);
+  StripedRetentionStore store(cfg);
   store.create_stream("s", 1.0);
   for (int i = 0; i < 150; ++i) store.append("s", double(i));  // 4 sealed
   const mon::ReadSnapshot snap = store.acquire_snapshot();

@@ -635,6 +635,11 @@ TEST(Server, HandoffImportRefusesDefectiveChunksAndRestoresNothing) {
           {"out of order",
            [](auto& s) { std::swap(s.chunks[0], s.chunks[1]); }},
           {"overlap", [](auto& s) { s.chunks[1].t0 = 3.5; }},
+          {"span past the chunk limit",
+           [](auto& s) {
+             s.chunks[1].values = {5.0, 6.0};
+             s.chunks[1].dt = 2e9;
+           }},
       };
 
   mon::StripedRetentionStore store;

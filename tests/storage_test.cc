@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "engine/engine.h"
-#include "monitor/store.h"
 #include "monitor/striped_store.h"
 #include "query/engine.h"
 #include "signal/generators.h"
@@ -220,8 +219,8 @@ mon::StoreConfig small_chunks() {
 }
 
 /// Ingest a deterministic two-stream workload through `store`.
-template <typename Store>
-void ingest_workload(Store& store, std::size_t batches, std::uint64_t seed) {
+void ingest_workload(mon::StripedRetentionStore& store, std::size_t batches,
+                     std::uint64_t seed) {
   Rng rng(seed);
   for (std::size_t b = 0; b < batches; ++b) {
     store.append_series("dev0/temp", noisy_sine(37, 0.01, rng));
@@ -229,15 +228,14 @@ void ingest_workload(Store& store, std::size_t batches, std::uint64_t seed) {
   }
 }
 
-template <typename Store>
-void create_workload_streams(Store& store) {
+void create_workload_streams(mon::StripedRetentionStore& store) {
   store.create_stream("dev0/temp", 1.0);
   store.create_stream("dev1/drops", 4.0, 100.0);
 }
 
 TEST(StorageManager, FlushReopenQueriesBitIdentical) {
   TempDir dir("flush_reopen");
-  mon::RetentionStore live(small_chunks());
+  mon::StripedRetentionStore live(small_chunks());
   {
     sto::StorageConfig cfg;
     cfg.dir = dir.path;
@@ -259,7 +257,7 @@ TEST(StorageManager, FlushReopenQueriesBitIdentical) {
   ASSERT_TRUE(geom.has_value());
   EXPECT_EQ(geom->chunk_samples, 64u);
 
-  mon::RetentionStore cold(small_chunks());
+  mon::StripedRetentionStore cold(small_chunks());
   const auto rec = reopened.recover(cold);
   EXPECT_EQ(rec.streams, 2u);
   EXPECT_EQ(rec.crc_skipped_blocks, 0u);
@@ -296,7 +294,7 @@ TEST(StorageManager, FlushReopenQueriesBitIdentical) {
 TEST(StorageManager, ReopenThenAppendContinuesGenerationsAndSealing) {
   TempDir dir("reopen_append");
   // Reference: one uninterrupted in-memory store over the full workload.
-  mon::RetentionStore reference(small_chunks());
+  mon::StripedRetentionStore reference(small_chunks());
   create_workload_streams(reference);
   ingest_workload(reference, 30, 5);
   ingest_workload(reference, 30, 6);
@@ -307,7 +305,7 @@ TEST(StorageManager, ReopenThenAppendContinuesGenerationsAndSealing) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 30, 5);
@@ -318,7 +316,7 @@ TEST(StorageManager, ReopenThenAppendContinuesGenerationsAndSealing) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   const std::uint64_t gen_before = [&] {
     const auto rec = manager.recover(store);
     EXPECT_EQ(rec.streams, 2u);
@@ -356,7 +354,7 @@ TEST(StorageManager, MidRunKillLosesAtMostTheTornBatch) {
     cfg.truncate_existing = true;
     cfg.wal_sync_interval_batches = 1;  // fsync every batch
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 25, 9);
@@ -374,7 +372,7 @@ TEST(StorageManager, MidRunKillLosesAtMostTheTornBatch) {
     sto::StorageConfig cfg;
     cfg.dir = dir.path;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     const auto rec = manager.recover(store);
     EXPECT_EQ(rec.wal_records_replayed, 2u + 50u);  // 2 creates + 50 batches
     EXPECT_EQ(rec.wal_records_truncated, 0u);
@@ -388,7 +386,7 @@ TEST(StorageManager, MidRunKillLosesAtMostTheTornBatch) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   const auto rec = manager.recover(store);
   EXPECT_EQ(rec.wal_records_replayed, 2u + 49u);
   EXPECT_EQ(rec.wal_records_truncated, 1u);
@@ -404,7 +402,7 @@ TEST(StorageManager, CrcCorruptedChunkBlockSkippedAndCounted) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 40, 13);
@@ -443,7 +441,7 @@ TEST(StorageManager, CrcCorruptedChunkBlockSkippedAndCounted) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   const auto rec = manager.recover(store);
   // The damaged block is skipped with a counted warning; everything else
   // survives, including the sibling stream.
@@ -491,12 +489,21 @@ TEST(StorageManager, RestoreRefusesChunksBreakingTheReadInvariant) {
       {"overlap", [](auto& s) { s.chunks[1].t0 = 14.0 - 1e-6; }},
       {"nan hot_t0", [&](auto& s) { s.hot_t0 = nan; }},
       {"zero rate", [](auto& s) { s.collection_rate_hz = 0.0; }},
+      // A read densifies a chunk onto every grid point it spans: two
+      // values spanning billions of steps would be an unbounded allocation.
+      {"span past the chunk limit",
+       [](auto& s) {
+         s.chunks[1].values = {5.0, 6.0};
+         s.chunks[1].dt = 2e9;
+       }},
+      {"span past the chunk limit at a fast rate",
+       [](auto& s) { s.collection_rate_hz = 1e6; }},
   };
   for (const auto& [what, shape] : shapes) {
     mon::StreamSnapshot snap = two_chunk_snapshot();
     shape(snap);
     EXPECT_FALSE(mon::restore_defect(snap).empty()) << what;
-    mon::RetentionStore store;
+    mon::StripedRetentionStore store;
     EXPECT_THROW(store.restore_stream(snap), std::invalid_argument) << what;
     EXPECT_EQ(store.streams(), 0u) << what;
   }
@@ -507,7 +514,19 @@ TEST(StorageManager, RestoreRefusesChunksBreakingTheReadInvariant) {
   mon::StreamSnapshot snap = two_chunk_snapshot();
   snap.chunks[1].t0 = 14.0 - 5e-10;
   EXPECT_EQ(mon::restore_defect(snap), "");
-  mon::RetentionStore store;
+  // A chunk spanning exactly the largest chunk size is a legitimate seal
+  // (some writer's chunk_samples), so it restores; recovery drops only the
+  // chunk that spans more, and counts it.
+  snap = two_chunk_snapshot();
+  snap.chunks[1].dt = static_cast<double>(mon::kMaxChunkSamples) / 4.0;
+  EXPECT_EQ(mon::restore_defect(snap), "");
+  snap.chunks[0].dt = 1e9;
+  snap.chunks[0].values = {1.0, 2.0};
+  EXPECT_FALSE(mon::restore_defect(snap).empty());
+  EXPECT_EQ(mon::drop_defective_chunks(snap.chunks, 1.0), 1u);
+  ASSERT_EQ(snap.chunks.size(), 1u);
+  EXPECT_EQ(snap.chunks[0].t0, 14.0);
+  mon::StripedRetentionStore store;
   store.restore_stream(two_chunk_snapshot());
   EXPECT_EQ(store.query("dev/x", 0.0, 4.0).values(),
             (std::vector<double>{1.0, 1.0, 1.0, 1.0}));
@@ -523,7 +542,7 @@ TEST(StorageManager, RecoveryDropsDefectiveChunksAndCountsThem) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 40, 13);
@@ -535,15 +554,18 @@ TEST(StorageManager, RecoveryDropsDefectiveChunksAndCountsThem) {
   }
   ASSERT_FALSE(seg_file.empty());
 
-  // Rewrite the segment with two chunks of dev0/temp broken in ways that
-  // decode cleanly (valid CRCs): one emptied, one with a NaN origin.
+  // Rewrite the segment with three chunks of dev0/temp broken in ways that
+  // decode cleanly (valid CRCs): one emptied, one with a NaN origin, and
+  // one whose two values span billions of collection steps.
   std::map<std::string, mon::StreamSnapshot> streams;
   sto::read_segment_bytes(sto::read_file(seg_file), streams);
   auto& temp = streams.at("dev0/temp");
-  ASSERT_GE(temp.chunks.size(), 4u);
+  ASSERT_GE(temp.chunks.size(), 6u);
   const std::size_t chunks_before = temp.chunks.size();
   temp.chunks[1].values.clear();
   temp.chunks[3].t0 = std::numeric_limits<double>::quiet_NaN();
+  temp.chunks[5].values = {1.0, 2.0};
+  temp.chunks[5].dt = 2e9;
   sto::SegmentWriter writer;
   for (const auto& [name, snap] : streams) writer.add_stream(snap);
   {
@@ -555,13 +577,13 @@ TEST(StorageManager, RecoveryDropsDefectiveChunksAndCountsThem) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   const auto rec = manager.recover(store);
   EXPECT_EQ(rec.crc_skipped_blocks, 0u);
-  EXPECT_EQ(rec.chunks_missing, 2u);
+  EXPECT_EQ(rec.chunks_missing, 3u);
   EXPECT_EQ(rec.streams, 2u);
   EXPECT_EQ(store.snapshot_stream("dev0/temp").chunks.size(),
-            chunks_before - 2);
+            chunks_before - 3);
   // Every range still answers, including ones disjoint from the data.
   const auto meta = store.meta("dev0/temp");
   EXPECT_GT(store.query("dev0/temp", meta.t0, meta.t_end).size(), 0u);
@@ -578,7 +600,7 @@ TEST(StorageManager, CorruptNewestHeaderDropsWalGraftsForThatStreamOnly) {
     cfg.truncate_existing = true;
     cfg.wal_sync_interval_batches = 1;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 10, 3);
@@ -623,7 +645,7 @@ TEST(StorageManager, CorruptNewestHeaderDropsWalGraftsForThatStreamOnly) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   const auto rec = manager.recover(store);
   // dev0/temp restored to its flush-1 epoch (a consistent older snapshot);
   // its post-flush-2 WAL batches were dropped, not grafted onto stale grid
@@ -642,7 +664,7 @@ TEST(StorageManager, CorruptTailBlockDropsTailInsteadOfResurrectingStaleOne) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     store.set_ingest_sink(&manager);
     store.create_stream("dev/t", 1.0);
     // Flush 1 checkpoints a 31 x 5.0 tail (t = 64..95). The next batch
@@ -689,7 +711,7 @@ TEST(StorageManager, CorruptTailBlockDropsTailInsteadOfResurrectingStaleOne) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   const auto rec = manager.recover(store);
   EXPECT_EQ(rec.crc_skipped_blocks, 1u);
   // The tail is dropped (bounded, counted loss) — segment 1's 5.0 tail must
@@ -708,7 +730,7 @@ TEST(StorageManager, TruncationAfterHeaderLeavesEmptyTailNotStaleOne) {
     cfg.dir = dir.path;
     cfg.truncate_existing = true;
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     store.set_ingest_sink(&manager);
     store.create_stream("dev/t", 1.0);
     std::vector<double> first(64, 1.0);
@@ -737,7 +759,7 @@ TEST(StorageManager, TruncationAfterHeaderLeavesEmptyTailNotStaleOne) {
   sto::StorageConfig cfg;
   cfg.dir = dir.path;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   const auto rec = manager.recover(store);
   EXPECT_GE(rec.crc_skipped_blocks, 1u);  // the truncated remainder
   EXPECT_EQ(rec.chunks_missing, 1u);      // the sealed chunk block is gone
@@ -755,7 +777,7 @@ TEST(StorageManager, UnreadableSegmentDegradesRecoveryAndBlocksCompaction) {
   cfg.compact_min_segments = 100;
   {
     sto::StorageManager manager(cfg);
-    mon::RetentionStore store(small_chunks());
+    mon::StripedRetentionStore store(small_chunks());
     store.set_ingest_sink(&manager);
     create_workload_streams(store);
     ingest_workload(store, 10, 21);
@@ -787,7 +809,7 @@ TEST(StorageManager, UnreadableSegmentDegradesRecoveryAndBlocksCompaction) {
 
   // ...while recovery degrades past it with counted warnings and still
   // serves everything the surviving segment + WAL hold.
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   const auto rec = attach.recover(store);
   EXPECT_EQ(rec.segments_unreadable, 1u);
   EXPECT_EQ(rec.segments, 1u);
@@ -817,7 +839,7 @@ TEST(StorageManager, CompactionFoldsSegmentsPreservingData) {
   cfg.truncate_existing = true;
   cfg.compact_min_segments = 100;  // no auto-compaction; we drive it
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   store.set_ingest_sink(&manager);
   create_workload_streams(store);
   for (int round = 0; round < 5; ++round) {
@@ -835,7 +857,7 @@ TEST(StorageManager, CompactionFoldsSegmentsPreservingData) {
   sto::StorageConfig read_cfg;
   read_cfg.dir = dir.path;
   sto::StorageManager reopened(read_cfg);
-  mon::RetentionStore cold(small_chunks());
+  mon::StripedRetentionStore cold(small_chunks());
   const auto rec = reopened.recover(cold);
   EXPECT_EQ(rec.segments, 1u);
   EXPECT_EQ(rec.crc_skipped_blocks, 0u);
@@ -862,7 +884,7 @@ TEST(StorageManager, BackgroundCompactionKicksInAfterFlushes) {
   cfg.compact_min_segments = 3;
   cfg.background_compaction = true;
   sto::StorageManager manager(cfg);
-  mon::RetentionStore store(small_chunks());
+  mon::StripedRetentionStore store(small_chunks());
   store.set_ingest_sink(&manager);
   create_workload_streams(store);
   for (int round = 0; round < 6; ++round) {
